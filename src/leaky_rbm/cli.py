@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -69,7 +68,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command")
 
     p_train = sub.add_parser("train")
@@ -262,9 +260,6 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        threads = getattr(args, "threads", None)
-        if threads:
-            os.environ.setdefault("OMP_NUM_THREADS", str(threads))
         return _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonPDRegionError
+from .projection import is_globally_safe
 
 # Smallest eigenvalue above which a precision matrix counts as positive
 # definite.
@@ -112,8 +113,7 @@ class RbmParams:
 
     def is_safe(self, tol: float = PD_TOL) -> bool:
         """Whether I - W W^T is positive (semi-)definite within tolerance."""
-        eigs = 1.0 - np.linalg.svd(self.weights, compute_uv=False) ** 2
-        return bool(eigs.min(initial=1.0) > -tol)
+        return is_globally_safe(self.weights, tol)[0]
 
 
 @dataclass(frozen=True)

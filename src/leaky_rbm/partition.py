@@ -34,7 +34,7 @@ from .model import (
     log_unnorm_marginal,
 )
 from .projection import is_globally_safe
-from .sampler import _BASE_SHRINK_MARGIN, _as_rng, gibbs_step, sample_gaussian_base
+from .sampler import _as_rng, gaussian_base_params, gibbs_step, sample_gaussian_base
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -306,6 +306,13 @@ def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
                 center[1] - half_width, center[1] + half_width,
                 epsabs=0.0, epsrel=max(tolerance, 1e-10),
             )
+        if not val > 0.0:
+            # a near-singular I - WW^T spreads the mass so thinly over the
+            # grown box that the quadrature finds none
+            raise DivergentIntegralError(
+                "quadrature found no mass in the integration box "
+                "(I - WW^T is near singular)"
+            )
         cur = shift + math.log(val)
         if prev is not None and abs(cur - prev) <= tolerance * max(1.0, abs(prev)):
             return cur
@@ -356,13 +363,10 @@ def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
         density = lambda x: -0.5 * np.sum((x - a) ** 2, axis=-1)
         log_z0 = 0.5 * params.n_visible * LOG_2PI
         return v, density, log_z0
-    # leaky / one-sided: exact leakiness-1 Gaussian, with the same boundary
-    # shrink the base sampler applies so density and draws agree exactly
-    base = params
-    smax = params.max_singular_value()
-    if smax > 1.0 - _BASE_SHRINK_MARGIN and smax > 0:
-        base = params.with_(weights=params.weights * ((1.0 - _BASE_SHRINK_MARGIN) / smax))
-    v = sample_gaussian_base(base, n, rng)
+    # leaky / one-sided: exact leakiness-1 Gaussian; draws, density and
+    # log Z all belong to the sampler's (possibly boundary-shrunk) base model
+    base = gaussian_base_params(params)
+    v = sample_gaussian_base(params, n, rng)
     density = lambda x: log_unnorm_marginal(base, x, leakiness=1.0)
     return v, density, gaussian_log_z(base)
 

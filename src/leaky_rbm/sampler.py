@@ -77,26 +77,32 @@ class ChainSet:
 
     v: np.ndarray  # (n_chains, I)
     h: np.ndarray  # (n_chains, J)
-    rng_seed: int = -1  # -1 when driven by an externally-owned generator
     step_count: int = 0
 
 
+def gaussian_base_params(params: RbmParams) -> RbmParams:
+    """The model whose leakiness-1 marginal the base Gaussian is.
+
+    Raises NonPDRegionError unless I - W W^T >= 0.  When the top singular
+    value of W is within _BASE_SHRINK_MARGIN of 1, W is rescaled so that
+    it is 1 - _BASE_SHRINK_MARGIN; otherwise the model comes back as given.
+    """
+    safe, min_eig = is_globally_safe(params.weights)
+    if not safe:
+        raise NonPDRegionError(min_eig, "base Gaussian requires I - WW^T >= 0")
+    smax = params.max_singular_value()
+    if smax > 1.0 - _BASE_SHRINK_MARGIN:
+        return params.with_(weights=params.weights * ((1.0 - _BASE_SHRINK_MARGIN) / smax))
+    return params
+
+
 def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance Cholesky factor of the exact c = 1 Gaussian.
+    """Mean and precision Cholesky factor of the exact c = 1 Gaussian.
 
     The marginal at leakiness 1 is N(mu, Omega^-1) with Omega = I - W W^T
-    and Omega mu = a + W b.  W is shrunk slightly when its top singular
-    value sits on the constraint boundary.
+    and Omega mu = a + W b, for the W of ``gaussian_base_params``.
     """
-    W = params.weights
-    safe, _ = is_globally_safe(W)
-    if not safe:
-        raise NonPDRegionError(
-            is_globally_safe(W)[1], "base Gaussian requires I - WW^T >= 0"
-        )
-    smax = params.max_singular_value()
-    if smax > 1.0 - _BASE_SHRINK_MARGIN and smax > 0:
-        W = W * ((1.0 - _BASE_SHRINK_MARGIN) / smax)
+    W = gaussian_base_params(params).weights
     omega = np.eye(params.n_visible) - W @ W.T
     try:
         chol_prec = np.linalg.cholesky(omega)
@@ -109,25 +115,6 @@ def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
     return mean, chol_prec
 
 
-_moments_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cached_base_moments(params: RbmParams):
-    # keyed on parameter bytes; avoids refactorizing when W is unchanged
-    key = (
-        params.weights.tobytes(),
-        params.visible_bias.tobytes(),
-        params.hidden_bias.tobytes(),
-    )
-    hit = _moments_cache.get(key)
-    if hit is None:
-        if len(_moments_cache) > 64:
-            _moments_cache.clear()
-        hit = gaussian_base_moments(params)
-        _moments_cache[key] = hit
-    return hit
-
-
 def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
     """i.i.d. draws from the exact leakiness-1 Gaussian, shape (n, I).
 
@@ -135,7 +122,7 @@ def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
     normal z maps to mu + L^-T z.
     """
     rng = _as_rng(rng)
-    mean, chol_prec = _cached_base_moments(params)
+    mean, chol_prec = gaussian_base_moments(params)
     z = rng.standard_normal((n, params.n_visible))
     # solve L^T x = z for each row
     x = np.linalg.solve(chol_prec.T, z.T).T

@@ -84,12 +84,6 @@ class GradientEstimate:
     da: np.ndarray
     db: np.ndarray
 
-    def __iadd__(self, other: "GradientEstimate"):
-        self.dW += other.dW
-        self.da += other.da
-        self.db += other.db
-        return self
-
 
 @dataclass
 class EpochRecord:

@@ -14,11 +14,19 @@ from leaky_rbm import (
     exact_log_z_bernoulli,
     exact_log_z_orthogonal,
     gaussian_log_z,
+    project_spectral,
     quadrature_log_z,
 )
+from leaky_rbm.experiments import mixing_task_data, train_mixing_method
 from leaky_rbm.model import bernoulli_log_unnorm_marginal, log_unnorm_marginal
-from leaky_rbm.partition import PathKind, _point_log_marginal, intermediate_log_density
-from leaky_rbm.sampler import make_rng
+from leaky_rbm.partition import (
+    PathKind,
+    _base_sample_and_density,
+    _point_log_marginal,
+    intermediate_log_density,
+)
+from leaky_rbm.sampler import make_rng, sample_gaussian_base
+from leaky_rbm.training import NegSampler
 
 from conftest import random_orthogonal, random_safe_params
 
@@ -99,6 +107,16 @@ class TestQuadrature:
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(p)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_massless_box_raises_divergent(self):
+        # two sweeps of leaky-anneal training on mixing task 21 leave
+        # I - WW^T with eigenvalue -8e-16 along a ray the integrability fan
+        # misses; the grown box then holds no mass and dblquad returns 0
+        data = mixing_task_data(21)
+        model = train_mixing_method(21, NegSampler.LEAKY_ANNEAL, data, epochs=2)[0]
+        with pytest.raises(DivergentIntegralError):
+            quadrature_log_z(model, 1e-7)
+
     def test_nonzero_visible_bias(self):
         # shifting the visible bias of a c = 1 model multiplies Z by a
         # computable Gaussian factor
@@ -162,6 +180,29 @@ class TestAnnealingPath:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             AnnealingPath.leaky(0.5, 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_leaky_base_is_the_samplers_once_shrunk_model(self, seed):
+        # project_spectral leaves sigma_max at 1, where the base sampler
+        # shrinks W by its 1e-6 margin; the AIS base must draw, score and
+        # normalise with that same model, shrunk once
+        g = np.random.default_rng(seed)
+        W, _ = project_spectral(2.0 * g.standard_normal((5, 3)))
+        p = RbmParams.create(
+            W, hidden_bias=g.standard_normal(3), visible_bias=g.standard_normal(5),
+            leakiness=0.1,
+        )
+        smax = p.max_singular_value()
+        assert smax > 1.0 - 1e-6
+        once = p.with_(weights=p.weights * ((1.0 - 1e-6) / smax))
+        v, density, log_z_base = _base_sample_and_density(
+            p, PathKind.LEAKY, 64, make_rng(seed)
+        )
+        np.testing.assert_array_equal(v, sample_gaussian_base(p, 64, make_rng(seed)))
+        np.testing.assert_array_equal(
+            density(v), log_unnorm_marginal(once, v, leakiness=1.0)
+        )
+        assert log_z_base == gaussian_log_z(once)
 
 
 class TestAisEstimate:
