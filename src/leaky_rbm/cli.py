@@ -1,14 +1,16 @@
 """Command-line harness.
 
 Subcommands: train, sample, estimate-z, eval-ll, experiment.  A flat
-key=value config file can pre-populate any option; explicit command-line
-flags win over the file.  Exit codes: 0 success, 1 usage or file error,
-2 numerical failure (divergence, non-PD constraint).
+key=value config file can pre-populate any option, and argparse checks
+its values exactly like flags; explicit command-line flags win over the
+file.  Exit codes: 0 success, 1 usage or file error, 2 numerical failure
+(divergence, non-PD constraint).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -26,13 +28,14 @@ from .errors import (
 from .experiments import EXPERIMENTS
 from .model import HiddenKind, RbmParams
 from .partition import AnnealingPath, PathKind, ais_estimate, eval_mean_log_likelihood
+from .projection import project_spectral
 from .sampler import AnnealSchedule, anneal_leakiness_sample, make_rng
 from .training import NegSampler, TrainConfig, train
 
 _PATHS = {
-    "leaky": lambda c, n: AnnealingPath.leaky(c, n),
-    "energy": lambda c, n: AnnealingPath.energy(n),
-    "one-sided": lambda c, n: AnnealingPath.one_sided(n),
+    PathKind.LEAKY: lambda c, n: AnnealingPath.leaky(c, n),
+    PathKind.ENERGY: lambda c, n: AnnealingPath.energy(n),
+    PathKind.ONE_SIDED: lambda c, n: AnnealingPath.one_sided(n),
 }
 
 
@@ -63,163 +66,187 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
-def build_parser() -> _Parser:
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _one_of(table: dict):
+    """argparse type: look a name up in ``table``.
+
+    argparse never applies ``choices=`` to defaults, so an enumerated
+    option checks its value here, where config values pass too.
+    """
+
+    def lookup(text: str):
+        try:
+            return table[text.lower()]
+        except KeyError:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {text!r} (choose from {', '.join(table)})"
+            ) from None
+
+    return lookup
+
+
+_FLAG = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def build_parser(config: dict[str, str] | None = None) -> _Parser:
+    """The CLI parser; each ``config`` value becomes its option's default.
+
+    argparse runs string defaults through the option's ``type=``, so a
+    config value is parsed and checked exactly like the same flag.
+    """
     parser = _Parser(prog="leaky-rbm")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_count(0), default=0)
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command")
-
-    p_train = sub.add_parser("train")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--data-format", choices=["csv", "raw-f32"], default=None)
-    p_train.add_argument("--kind", choices=["leaky", "bernoulli"], default=None)
-    p_train.add_argument("--hidden", type=int, default=None)
-    p_train.add_argument("--leakiness", type=float, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--learning-rate", type=float, default=None)
-    p_train.add_argument("--momentum", type=float, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
-    p_train.add_argument("--cd-steps", type=int, default=None)
-    p_train.add_argument(
-        "--neg-sampler", choices=[m.value for m in NegSampler], default=None
+    # options shared by several subcommands, declared once
+    data = _Parser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--data-format", choices=["csv", "raw-f32"], default=None)
+    model = _Parser(add_help=False)
+    model.add_argument("--model", required=True)
+    ais = _Parser(add_help=False)
+    ais.add_argument(
+        "--path", type=_one_of({kind.value: kind for kind in PathKind}), default="leaky"
     )
-    p_train.add_argument("--weight-decay", type=float, default=None)
-    p_train.add_argument("--no-projection", action="store_true")
-    p_train.add_argument("--model-out", default=None)
+    ais.add_argument("--levels", type=_count(1), default=1000)
+    ais.add_argument("--particles", type=_count(1), default=10000)
 
-    p_sample = sub.add_parser("sample")
-    p_sample.add_argument("--model", required=True)
-    p_sample.add_argument("--n", type=int, default=None)
-    p_sample.add_argument("--steps", type=int, default=None)
+    p_train = sub.add_parser("train", parents=[data])
+    p_train.set_defaults(run=_cmd_train)
+    p_train.add_argument(
+        "--kind",
+        type=_one_of({"leaky": HiddenKind.LEAKY_RELU, "bernoulli": HiddenKind.BERNOULLI}),
+        default="leaky",
+    )
+    p_train.add_argument("--hidden", type=_count(1), default=16)
+    p_train.add_argument("--leakiness", type=float, default=0.1)
+    p_train.add_argument("--epochs", type=_count(0), default=10)
+    p_train.add_argument("--learning-rate", type=float, default=0.01)
+    p_train.add_argument("--momentum", type=float, default=0.0)
+    p_train.add_argument("--batch-size", type=_count(1), default=100)
+    p_train.add_argument("--cd-steps", type=_count(1), default=1)
+    p_train.add_argument(
+        "--neg-sampler", type=_one_of({m.value: m for m in NegSampler}), default="cd"
+    )
+    p_train.add_argument("--weight-decay", type=float, default=0.0)
+    p_train.add_argument(
+        "--no-projection", type=_one_of(_FLAG), nargs="?", const=True, default=False,
+        metavar="BOOL",
+    )
+    p_train.add_argument("--model-out", default=None, help="default: OUT/model.rbm")
 
-    p_z = sub.add_parser("estimate-z")
-    p_z.add_argument("--model", required=True)
-    p_z.add_argument("--path", choices=sorted(_PATHS), default=None)
-    p_z.add_argument("--levels", type=int, default=None)
-    p_z.add_argument("--particles", type=int, default=None)
+    p_sample = sub.add_parser("sample", parents=[model])
+    p_sample.set_defaults(run=_cmd_sample)
+    p_sample.add_argument("--n", type=_count(1), default=100)
+    p_sample.add_argument("--steps", type=_count(0), default=200)
 
-    p_ll = sub.add_parser("eval-ll")
-    p_ll.add_argument("--model", required=True)
-    p_ll.add_argument("--data", required=True)
-    p_ll.add_argument("--data-format", choices=["csv", "raw-f32"], default=None)
-    p_ll.add_argument("--log-z", type=float, default=None)
-    p_ll.add_argument("--path", choices=sorted(_PATHS), default=None)
-    p_ll.add_argument("--levels", type=int, default=None)
-    p_ll.add_argument("--particles", type=int, default=None)
+    sub.add_parser("estimate-z", parents=[model, ais]).set_defaults(run=_cmd_estimate_z)
+
+    p_ll = sub.add_parser("eval-ll", parents=[model, data, ais])
+    p_ll.set_defaults(run=_cmd_eval_ll)
+    p_ll.add_argument("--log-z", type=_finite, default=None)
 
     p_exp = sub.add_parser("experiment")
+    p_exp.set_defaults(run=_cmd_experiment)
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
+
+    if config:
+        for p in (parser, *sub.choices.values()):
+            p.set_defaults(**{
+                action.dest: config[key]
+                for action in p._actions
+                if action.option_strings
+                and (key := action.dest.replace("_", "-")) in config
+            })
     return parser
 
 
-def _opt(args, config: dict, name: str, default, cast=None):
-    """Flag value if given, else config-file value, else default."""
-    cli_value = getattr(args, name.replace("-", "_"), None)
-    if cli_value is not None and cli_value is not False:
-        return cli_value
-    if name in config:
-        raw = config[name]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
-        return cast(raw) if cast else raw
-    return default
-
-
-def _run(args) -> int:
-    config = read_config(args.config) if args.config else {}
-    seed = int(_opt(args, config, "seed", 0, int))
-    out_dir = Path(_opt(args, config, "out", ".", str))
-
-    if args.command == "train":
-        return _cmd_train(args, config, seed, out_dir)
-    if args.command == "sample":
-        return _cmd_sample(args, config, seed, out_dir)
-    if args.command == "estimate-z":
-        return _cmd_estimate_z(args, config, seed, out_dir)
-    if args.command == "eval-ll":
-        return _cmd_eval_ll(args, config, seed)
-    if args.command == "experiment":
-        out_dir.mkdir(parents=True, exist_ok=True)
-        EXPERIMENTS[args.name](out_dir, seed)
-        return 0
-    raise UsageError("missing subcommand")
-
-
-def _cmd_train(args, config, seed, out_dir) -> int:
-    dataset = ingest(args.data, _opt(args, config, "data-format", None))
-    kind = (
-        HiddenKind.BERNOULLI
-        if _opt(args, config, "kind", "leaky", str) == "bernoulli"
-        else HiddenKind.LEAKY_RELU
+def _cmd_train(args) -> int:
+    dataset = ingest(args.data, args.data_format)
+    W0 = make_rng(args.seed, 1).uniform(
+        0.0, 0.01, size=(dataset.matrix.shape[1], args.hidden)
     )
-    n_hidden = int(_opt(args, config, "hidden", 16, int))
-    leakiness = float(_opt(args, config, "leakiness", 0.1, float))
-    tc = TrainConfig(
-        cd_steps=int(_opt(args, config, "cd-steps", 1, int)),
-        learning_rate=float(_opt(args, config, "learning-rate", 0.01, float)),
-        momentum=float(_opt(args, config, "momentum", 0.0, float)),
-        batch_size=int(_opt(args, config, "batch-size", 100, int)),
-        epochs=int(_opt(args, config, "epochs", 10, int)),
-        neg_sampler=NegSampler(_opt(args, config, "neg-sampler", "cd", str)),
-        weight_decay=float(_opt(args, config, "weight-decay", 0.0, float)),
-        projection_enabled=not _opt(args, config, "no-projection", False, bool),
-        seed=seed,
-    )
-    n_visible = dataset.matrix.shape[1]
-    W0 = make_rng(seed, 1).uniform(0.0, 0.01, size=(n_visible, n_hidden))
-    params0 = RbmParams.create(
-        W0, leakiness=leakiness if kind is HiddenKind.LEAKY_RELU else 1.0,
-        hidden_kind=kind,
-    )
-    model, log = train(params0, dataset.matrix, tc)
-    model_out = _opt(args, config, "model-out", str(out_dir / "model.rbm"), str)
+    try:
+        tc = TrainConfig(
+            cd_steps=args.cd_steps,
+            learning_rate=args.learning_rate,
+            momentum=args.momentum,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            neg_sampler=args.neg_sampler,
+            weight_decay=args.weight_decay,
+            projection_enabled=not args.no_projection,
+            seed=args.seed,
+        )
+        # start inside the feasible set: the annealed samplers' base
+        # Gaussian needs I - W W^T >= 0 from the first minibatch
+        params0 = RbmParams.create(
+            project_spectral(W0)[0],
+            leakiness=args.leakiness if args.kind is HiddenKind.LEAKY_RELU else 1.0,
+            hidden_kind=args.kind,
+        )
+        # train's ValueError rejects an option combination: an annealed
+        # negative phase for Bernoulli hidden units
+        model, log = train(params0, dataset.matrix, tc)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    model_out = args.model_out or str(args.out / "model.rbm")
     Path(model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(
         Path(model_out),
         model,
-        Provenance(config_hash=tc.config_hash(), seed=seed, epoch=len(log.epochs)),
+        Provenance(config_hash=tc.config_hash(), seed=args.seed, epoch=len(log.epochs)),
     )
-    last = log.epochs[-1] if log.epochs else None
-    if last is not None:
-        print(f"epochs {len(log.epochs)} recon_error {last.recon_error:.6g}")
+    if log.epochs:
+        print(f"epochs {len(log.epochs)} recon_error {log.epochs[-1].recon_error:.6g}")
     print(f"model written to {model_out}")
     return 0
 
 
-def _load(path) -> RbmParams:
-    params, _prov = load_model(path)
-    return params
-
-
-def _cmd_sample(args, config, seed, out_dir) -> int:
-    params = _load(args.model)
-    n = int(_opt(args, config, "n", 100, int))
-    steps = int(_opt(args, config, "steps", 200, int))
-    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=steps)
-    chains = anneal_leakiness_sample(params, schedule, n, make_rng(seed, 2))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "samples.csv"
+def _cmd_sample(args) -> int:
+    params, _prov = load_model(args.model)
+    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=args.steps)
+    chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
+    args.out.mkdir(parents=True, exist_ok=True)
+    out = args.out / "samples.csv"
     np.savetxt(out, chains.v, delimiter=",", fmt="%.12g")
-    print(f"wrote {n} samples to {out}")
+    print(f"wrote {args.n} samples to {out}")
     return 0
 
 
-def _estimate(params, args, config, seed):
-    path_name = _opt(args, config, "path", "leaky", str)
-    levels = int(_opt(args, config, "levels", 1000, int))
-    particles = int(_opt(args, config, "particles", 10000, int))
-    path = _PATHS[path_name](params.leakiness, levels)
-    est = ais_estimate(params, path, particles, make_rng(seed, 3))
-    return path_name, levels, particles, est
+def _estimate(params, args):
+    path = _PATHS[args.path](params.leakiness, args.levels)
+    try:
+        return ais_estimate(params, path, args.particles, make_rng(args.seed, 3))
+    except ValueError as exc:  # a leakiness path for Bernoulli hidden units
+        raise UsageError(exc) from None
 
 
-def _cmd_estimate_z(args, config, seed, out_dir) -> int:
-    params = _load(args.model)
-    path_name, levels, particles, est = _estimate(params, args, config, seed)
+def _cmd_estimate_z(args) -> int:
+    est = _estimate(load_model(args.model)[0], args)
     print(f"log_z {est.log_z:.6f} +- {est.standard_error:.6f}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "estimate_z.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    out = args.out / "estimate_z.csv"
     new = not out.exists()
     with open(out, "a", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -229,9 +256,9 @@ def _cmd_estimate_z(args, config, seed, out_dir) -> int:
             )
         writer.writerow(
             [
-                path_name,
-                levels,
-                particles,
+                args.path.value,
+                args.levels,
+                args.particles,
                 format(est.log_z, ".12g"),
                 format(est.standard_error, ".12g"),
                 format(est.effective_sample_size, ".12g"),
@@ -241,15 +268,19 @@ def _cmd_estimate_z(args, config, seed, out_dir) -> int:
     return 0
 
 
-def _cmd_eval_ll(args, config, seed) -> int:
-    params = _load(args.model)
-    dataset = ingest(args.data, _opt(args, config, "data-format", None))
-    log_z = _opt(args, config, "log-z", None, float)
+def _cmd_eval_ll(args) -> int:
+    params, _prov = load_model(args.model)
+    dataset = ingest(args.data, args.data_format)
+    log_z = args.log_z
     if log_z is None:
-        _name, _levels, _particles, est = _estimate(params, args, config, seed)
-        log_z = est.log_z
-    loglik = eval_mean_log_likelihood(params, dataset.matrix, float(log_z))
-    print(f"mean_loglik {loglik:.6f} log_z {float(log_z):.6f}")
+        log_z = _estimate(params, args).log_z
+    loglik = eval_mean_log_likelihood(params, dataset.matrix, log_z)
+    print(f"mean_loglik {loglik:.6f} log_z {log_z:.6f}")
+    return 0
+
+
+def _cmd_experiment(args) -> int:
+    EXPERIMENTS[args.name](args.out, args.seed)
     return 0
 
 
@@ -257,14 +288,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = build_parser(read_config(args.config)).parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return _run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ModelFileError, DataFormatError) as exc:
+        return args.run(args)
+    except (UsageError, ModelFileError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonPDRegionError, DivergentIntegralError, TrainingDivergedError) as exc:

@@ -9,6 +9,7 @@ float32 values).
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,15 +71,19 @@ def ingest(path, fmt: str | None = None, stats: Normalization | None = None) -> 
         matrix = _read_raw_f32(path)
     else:
         raise DataFormatError(f"unknown dataset format {fmt!r}")
+    if matrix.size == 0:
+        raise DataFormatError(f"{path}: dataset is empty (shape {matrix.shape})")
     return normalize(matrix, stats)
 
 
 def _read_csv(path: Path) -> np.ndarray:
     try:
-        matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on an empty file; ingest rejects it with one message
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    return matrix
 
 
 def _read_raw_f32(path: Path) -> np.ndarray:
@@ -137,31 +142,37 @@ def save_model(path, params: RbmParams, provenance: Provenance = Provenance()) -
 
 
 def load_model(path) -> tuple[RbmParams, Provenance]:
+    """Read a model file; any defect raises ModelFileError naming the path."""
     path = Path(path)
     if not path.exists():
         raise ModelFileError(f"model file not found: {path}")
     blob = path.read_bytes()
-    if len(blob) < 4 or blob[:4] != MODEL_MAGIC:
-        raise ModelFileError(f"{path}: not a model file (bad magic)")
+    off = 4 + struct.calcsize("<IBII")
+    if len(blob) < off or blob[:4] != MODEL_MAGIC:
+        raise ModelFileError(f"{path}: not a model file (bad magic or short header)")
+    version, kind_code, n_vis, n_hid = struct.unpack_from("<IBII", blob, 4)
+    if version != MODEL_VERSION:
+        raise ModelFileError(f"{path}: unsupported format version {version}")
+    if kind_code not in _CODE_KINDS:
+        raise ModelFileError(f"{path}: unknown hidden kind code {kind_code}")
+    n_w = n_vis * n_hid
+    # leakiness, W, a and b as float64, then the provenance
+    expected = off + 8 * (1 + n_w + n_vis + n_hid) + struct.calcsize("<QqI")
+    if len(blob) != expected:
+        raise ModelFileError(
+            f"{path}: expected {expected} bytes for a {n_vis}x{n_hid} model, "
+            f"got {len(blob)}"
+        )
+    values = np.frombuffer(blob, dtype="<f8", count=1 + n_w + n_vis + n_hid, offset=off)
+    config_hash, seed, epoch = struct.unpack_from("<QqI", blob, off + 8 * values.size)
     try:
-        version, kind_code, n_vis, n_hid = struct.unpack_from("<IBII", blob, 4)
-        off = 4 + struct.calcsize("<IBII")
-        if version != MODEL_VERSION:
-            raise ModelFileError(f"{path}: unsupported format version {version}")
-        if kind_code not in _CODE_KINDS:
-            raise ModelFileError(f"{path}: unknown hidden kind code {kind_code}")
-        (leakiness,) = struct.unpack_from("<d", blob, off)
-        off += 8
-        def take(count):
-            nonlocal off
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-            off += 8 * count
-            return arr
-        W = take(n_vis * n_hid).reshape(n_vis, n_hid)
-        a = take(n_vis)
-        b = take(n_hid)
-        config_hash, seed, epoch = struct.unpack_from("<QqI", blob, off)
-    except struct.error as exc:
-        raise ModelFileError(f"{path}: truncated model file ({exc})") from None
-    params = RbmParams(W, a, b, leakiness, _CODE_KINDS[kind_code])
+        params = RbmParams(
+            values[1 : 1 + n_w].reshape(n_vis, n_hid),
+            values[1 + n_w : 1 + n_w + n_vis],
+            values[1 + n_w + n_vis :],
+            float(values[0]),
+            _CODE_KINDS[kind_code],
+        )
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
     return params, Provenance(config_hash=config_hash, seed=seed, epoch=epoch)

@@ -58,20 +58,16 @@ def random_orthogonal_params(
     return RbmParams.create(Q[:, :n_hidden] * norms, leakiness=leakiness)
 
 
-def synthetic_leaky_data(
-    params: RbmParams, n: int, rng, burn_in: int = 400
-) -> np.ndarray:
-    """Approximate model samples via a long leakiness-annealed run."""
-    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=burn_in)
+def synthetic_leaky_data(params: RbmParams, n: int, rng) -> np.ndarray:
+    """Approximate model samples via a 400-sweep leakiness-annealed run."""
+    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=400)
     return anneal_leakiness_sample(params, schedule, n, rng).v
 
 
 def experiment_partition_bias(
     out_dir,
     seed: int,
-    n_visible: int = 64,
     hidden_counts=(2, 4, 8, 16),
-    leakiness: float = 0.01,
     particles: int = 1000,
     levels: int = 100,
     repeats: int = 10,
@@ -81,10 +77,10 @@ def experiment_partition_bias(
     rows = []
     for n_hidden in hidden_counts:
         rng = make_rng(seed, n_hidden)
-        params = random_orthogonal_params(n_visible, n_hidden, leakiness, rng)
+        params = random_orthogonal_params(64, n_hidden, 0.01, rng)
         exact = exact_log_z_orthogonal(params)
         paths = {
-            "ais-leaky": AnnealingPath.leaky(leakiness, levels),
+            "ais-leaky": AnnealingPath.leaky(0.01, levels),
             "ais-energy": AnnealingPath.energy(levels),
         }
         for method, path in paths.items():
@@ -122,9 +118,9 @@ def _mixing_ground_truth(seed: int) -> RbmParams:
     return RbmParams.create(W, hidden_bias=b, leakiness=0.01)
 
 
-def mixing_task_data(seed: int, n_train: int = 1000) -> np.ndarray:
-    """Training set for the sampler comparison: draws from the known model."""
-    return synthetic_leaky_data(_mixing_ground_truth(seed), n_train, make_rng(seed, 4))
+def mixing_task_data(seed: int) -> np.ndarray:
+    """Training set for the sampler comparison: 1000 draws from the known model."""
+    return synthetic_leaky_data(_mixing_ground_truth(seed), 1000, make_rng(seed, 4))
 
 
 def train_mixing_method(
@@ -158,16 +154,10 @@ def train_mixing_method(
     return train(params0, data, config, loglik_fn=loglik_fn)
 
 
-def experiment_mixing(
-    out_dir,
-    seed: int,
-    epochs: int = 40,
-    cd_steps: int = 2,
-    n_train: int = 1000,
-) -> Path:
+def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
     """Per-epoch oracle log-likelihood for the three negative-phase samplers."""
     t0 = time.perf_counter()
-    data = mixing_task_data(seed, n_train)
+    data = mixing_task_data(seed)
 
     def oracle_loglik(params: RbmParams) -> float:
         return eval_mean_log_likelihood(
@@ -177,8 +167,7 @@ def experiment_mixing(
     rows = []
     for method in (NegSampler.CD, NegSampler.LEAKY_ANNEAL, NegSampler.MIX):
         _final, log = train_mixing_method(
-            seed, method, data, epochs=epochs, cd_steps=cd_steps,
-            loglik_fn=oracle_loglik,
+            seed, method, data, epochs=epochs, loglik_fn=oracle_loglik
         )
         for rec in log.epochs:
             rows.append([rec.epoch, method.value, rec.log_likelihood, 0.0])
@@ -188,14 +177,7 @@ def experiment_mixing(
     return out
 
 
-def experiment_divergence(
-    out_dir,
-    seed: int,
-    n_visible: int = 16,
-    n_hidden: int = 8,
-    n_chains: int = 1000,
-    n_steps: int = 200,
-) -> Path:
+def experiment_divergence(out_dir, seed: int) -> Path:
     """Chain blow-up without the projection step vs stability with it.
 
     The projected model trains normally on synthetic data.  The
@@ -207,11 +189,11 @@ def experiment_divergence(
     t0 = time.perf_counter()
     rng = make_rng(seed, 3)
     truth = random_orthogonal_params(
-        n_visible, n_hidden, leakiness=0.05, rng=rng, norm_range=(0.92, 0.98)
+        16, 8, leakiness=0.05, rng=rng, norm_range=(0.92, 0.98)
     )
     base_data = synthetic_leaky_data(truth, 1000, make_rng(seed, 4))
     data = 3.0 * base_data
-    W0 = make_rng(seed, 5).uniform(0.0, 0.01, size=(n_visible, n_hidden))
+    W0 = make_rng(seed, 5).uniform(0.0, 0.01, size=(16, 8))
     params0 = RbmParams.create(W0, leakiness=0.05)
 
     projected, _ = train(
@@ -263,8 +245,8 @@ def experiment_divergence(
     rows = []
     for label, model in (("projected", projected), ("unprojected", unprojected)):
         chain_rng = make_rng(seed, 6)
-        v = chain_rng.standard_normal((n_chains, n_visible))
-        for step in range(1, n_steps + 1):
+        v = chain_rng.standard_normal((1000, 16))
+        for step in range(1, 201):
             with np.errstate(over="ignore", invalid="ignore"):
                 v, _h = gibbs_step(model, v, chain_rng)
                 mean_abs = float(np.mean(np.abs(v)))
@@ -283,28 +265,18 @@ def experiment_divergence(
     return out
 
 
-def experiment_likelihood_compare(
-    out_dir,
-    seed: int,
-    data: np.ndarray | None = None,
-    n_visible: int = 16,
-    n_hidden: int = 16,
-    epochs: int = 20,
-) -> Path:
-    """Held-out log-likelihood of leaky vs Bernoulli-Gaussian models."""
+def experiment_likelihood_compare(out_dir, seed: int) -> Path:
+    """Held-out log-likelihood of leaky vs Bernoulli-Gaussian models (16x16)."""
     t0 = time.perf_counter()
-    if data is None:
-        truth = random_orthogonal_params(
-            n_visible, n_hidden // 2, leakiness=0.05, rng=make_rng(seed, 21),
-            norm_range=(0.5, 0.85),
-        )
-        data = synthetic_leaky_data(truth, 3000, make_rng(seed, 22))
-    n_visible = data.shape[1]
+    truth = random_orthogonal_params(
+        16, 8, leakiness=0.05, rng=make_rng(seed, 21), norm_range=(0.5, 0.85)
+    )
+    data = synthetic_leaky_data(truth, 3000, make_rng(seed, 22))
     split = int(0.8 * data.shape[0])
     train_data, test_data = data[:split], data[split:]
     rows = []
     for kind in (HiddenKind.LEAKY_RELU, HiddenKind.BERNOULLI):
-        W0 = make_rng(seed, 23).uniform(0.0, 0.01, size=(n_visible, n_hidden))
+        W0 = make_rng(seed, 23).uniform(0.0, 0.01, size=(16, 16))
         params0 = RbmParams.create(
             W0, leakiness=0.1 if kind is HiddenKind.LEAKY_RELU else 1.0, hidden_kind=kind
         )
@@ -313,7 +285,7 @@ def experiment_likelihood_compare(
             learning_rate=0.005,
             momentum=0.5,
             batch_size=100,
-            epochs=epochs,
+            epochs=20,
             weight_decay=1e-3,
             seed=seed,
         )

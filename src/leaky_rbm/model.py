@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonPDRegionError
-from .projection import is_globally_safe
-
-# Smallest eigenvalue above which a precision matrix counts as positive
-# definite.
-PD_TOL = 1e-10
+from .projection import SAFE_TOL, is_globally_safe
 
 
 class HiddenKind(enum.Enum):
@@ -37,8 +33,8 @@ class RbmParams:
 
     weights has shape (I, J); column j is hidden unit j's weight vector.
     visible_bias defaults to zero and is carried for completeness.
-    leakiness is the negative-side slope in (0, 1]; it is ignored for
-    Bernoulli hidden units.
+    leakiness is the negative-side slope in (0, 1]; Bernoulli hidden
+    units ignore it.
     """
 
     weights: np.ndarray
@@ -64,7 +60,7 @@ class RbmParams:
         if not (np.isfinite(W).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("parameters must be finite")
         c = float(self.leakiness)
-        if self.hidden_kind is HiddenKind.LEAKY_RELU and not (0.0 < c <= 1.0):
+        if not 0.0 < c <= 1.0:
             raise ValueError(f"leakiness must be in (0, 1], got {c}")
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "visible_bias", a)
@@ -111,9 +107,9 @@ class RbmParams:
     def max_singular_value(self) -> float:
         return float(np.linalg.svd(self.weights, compute_uv=False)[0])
 
-    def is_safe(self, tol: float = PD_TOL) -> bool:
-        """Whether I - W W^T is positive (semi-)definite within tolerance."""
-        return is_globally_safe(self.weights, tol)[0]
+    def is_safe(self) -> bool:
+        """Whether I - W W^T is positive (semi-)definite within SAFE_TOL."""
+        return is_globally_safe(self.weights)[0]
 
 
 @dataclass(frozen=True)
@@ -205,9 +201,7 @@ def activation_pattern(params: RbmParams, v) -> ActivationPattern:
     return ActivationPattern(alpha)
 
 
-def region_precision_mean(
-    params: RbmParams, pattern: ActivationPattern, tol: float = PD_TOL
-) -> RegionGaussian:
+def region_precision_mean(params: RbmParams, pattern: ActivationPattern) -> RegionGaussian:
     """Precision matrix and mean of the Gaussian on one region.
 
     Omega = I - sum_j alpha_j W_j W_j^T; the mean solves
@@ -220,7 +214,7 @@ def region_precision_mean(
     W = params.weights
     omega = np.eye(params.n_visible) - (W * alpha) @ W.T
     min_eig = float(np.linalg.eigvalsh(omega)[0])
-    is_pd = min_eig > tol
+    is_pd = min_eig > SAFE_TOL
     rhs = params.visible_bias + W @ (alpha * params.hidden_bias)
     try:
         mean = np.linalg.solve(omega, rhs)

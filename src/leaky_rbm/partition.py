@@ -56,7 +56,6 @@ class AnnealingPath:
 
     kind: PathKind
     grid: np.ndarray
-    sweeps_per_level: int = 1
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -66,24 +65,22 @@ class AnnealingPath:
         # a constant grid is the degenerate base-equals-target path
         if not (np.all(diffs < 0) or np.all(diffs > 0) or np.all(diffs == 0)):
             raise ValueError("path grid must be strictly monotone")
-        if self.sweeps_per_level < 1:
-            raise ValueError("sweeps_per_level must be >= 1")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
     @classmethod
-    def energy(cls, n_levels: int, sweeps_per_level: int = 1) -> "AnnealingPath":
-        return cls(PathKind.ENERGY, np.linspace(1.0, 0.0, n_levels + 1), sweeps_per_level)
+    def energy(cls, n_levels: int) -> "AnnealingPath":
+        return cls(PathKind.ENERGY, np.linspace(1.0, 0.0, n_levels + 1))
 
     @classmethod
-    def leaky(cls, c_target: float, n_levels: int, sweeps_per_level: int = 1) -> "AnnealingPath":
+    def leaky(cls, c_target: float, n_levels: int) -> "AnnealingPath":
         if not (0.0 < c_target <= 1.0):
             raise ValueError("c_target must be in (0, 1]")
-        return cls(PathKind.LEAKY, np.linspace(1.0, c_target, n_levels + 1), sweeps_per_level)
+        return cls(PathKind.LEAKY, np.linspace(1.0, c_target, n_levels + 1))
 
     @classmethod
-    def one_sided(cls, n_levels: int, sweeps_per_level: int = 1) -> "AnnealingPath":
-        return cls(PathKind.ONE_SIDED, np.linspace(1.0, 0.0, n_levels + 1), sweeps_per_level)
+    def one_sided(cls, n_levels: int) -> "AnnealingPath":
+        return cls(PathKind.ONE_SIDED, np.linspace(1.0, 0.0, n_levels + 1))
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def gaussian_log_z(params: RbmParams) -> float:
     )
 
 
-def exact_log_z_orthogonal(params: RbmParams, orth_tol: float = 1e-8) -> float:
+def exact_log_z_orthogonal(params: RbmParams) -> float:
     """Analytic log partition for orthogonal columns and zero biases.
 
     With pairwise-orthogonal weight columns and b = 0 the visible space
@@ -177,7 +174,7 @@ def exact_log_z_orthogonal(params: RbmParams, orth_tol: float = 1e-8) -> float:
     norms_sq = np.diag(gram).copy()
     off = gram - np.diag(norms_sq)
     scale = max(1.0, float(np.sqrt(norms_sq.max(initial=0.0))))
-    if np.abs(off).max(initial=0.0) > orth_tol * scale * scale:
+    if np.abs(off).max(initial=0.0) > 1e-8 * scale * scale:
         raise ValueError("weight columns are not pairwise orthogonal")
     c = params.leakiness
     if np.any(norms_sq >= 1.0):
@@ -377,9 +374,8 @@ def ais_estimate(
     """Annealed importance sampling estimate of the log partition.
 
     Particles start at the path's base distribution; at each level the
-    log-weight increment is accumulated before running sweeps_per_level
-    Gibbs sweeps targeting that level.  All reductions stay in the log
-    domain.
+    log-weight increment is accumulated before running one Gibbs sweep
+    targeting that level.  All reductions stay in the log domain.
     """
     rng = _as_rng(rng)
     safe, min_eig = is_globally_safe(params.weights)
@@ -392,9 +388,7 @@ def ais_estimate(
     for level in path.grid[1:]:
         cur = intermediate_log_density(params, kind, float(level), v)
         log_w += cur - prev_density
-        lp = level_params(params, kind, float(level))
-        for _ in range(path.sweeps_per_level):
-            v, _h = gibbs_step(lp, v, rng)
+        v, _h = gibbs_step(level_params(params, kind, float(level)), v, rng)
         prev_density = intermediate_log_density(params, kind, float(level), v)
 
     finite = np.isfinite(log_w)

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import LeakyRbmError
 
+# Smallest eigenvalue of I - W W^T (or of a region precision matrix)
+# that still counts as positive (semi-)definite.
 SAFE_TOL = 1e-10
 
 
@@ -46,9 +48,9 @@ def project_spectral(W) -> tuple[np.ndarray, ProjectionReport]:
     return W_proj, report
 
 
-def is_globally_safe(W, tol: float = SAFE_TOL) -> tuple[bool, float]:
+def is_globally_safe(W) -> tuple[bool, float]:
     """Check I - W W^T >= 0; returns (flag, smallest eigenvalue of I - WW^T)."""
     W = np.asarray(W, dtype=np.float64)
     s = np.linalg.svd(W, compute_uv=False)
     min_eig = float(1.0 - s[0] ** 2) if s.size else 1.0
-    return min_eig > -tol, min_eig
+    return min_eig > -SAFE_TOL, min_eig

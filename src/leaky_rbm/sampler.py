@@ -77,7 +77,6 @@ class ChainSet:
 
     v: np.ndarray  # (n_chains, I)
     h: np.ndarray  # (n_chains, J)
-    step_count: int = 0
 
 
 def gaussian_base_params(params: RbmParams) -> RbmParams:
@@ -213,4 +212,4 @@ def _run_annealed(params, schedule, v, h, rng, callback) -> ChainSet:
         if callback is not None:
             callback(t, float(c_t), v)
         v, h = gibbs_step(params, v, rng, leakiness=float(c_t))
-    return ChainSet(v=v, h=h, step_count=schedule.total_steps)
+    return ChainSet(v=v, h=h)

@@ -46,19 +46,22 @@ class TrainConfig:
     weight_decay: float = 0.0
     projection_enabled: bool = True
     seed: int = 0
-    lr_decay: float | None = None  # per-epoch multiplicative factor
-    train_visible_bias: bool = False
     stop_recon_error: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # negated comparisons so that NaN fails them too
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.cd_steps < 1:
             raise ValueError("cd_steps must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def config_hash(self) -> int:
         """Stable 64-bit hash of the configuration, stored in model files."""
@@ -181,10 +184,8 @@ def train(
     rng = _as_rng(config.seed)
     params = params0
     vel_W = np.zeros_like(params.weights)
-    vel_a = np.zeros_like(params.visible_bias)
     vel_b = np.zeros_like(params.hidden_bias)
     log = TrainingLog()
-    lr = config.learning_rate
     n = data.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -194,33 +195,20 @@ def train(
             neg = negative_phase(params, batch, config, rng)
             g_W = pos.dW - neg.dW - config.weight_decay * params.weights
             g_b = pos.db - neg.db
-            vel_W = config.momentum * vel_W + lr * g_W
-            vel_b = config.momentum * vel_b + lr * g_b
+            vel_W = config.momentum * vel_W + config.learning_rate * g_W
+            vel_b = config.momentum * vel_b + config.learning_rate * g_b
             new_W = params.weights + vel_W
             new_b = params.hidden_bias + vel_b
-            new_a = params.visible_bias
-            if config.train_visible_bias:
-                g_a = pos.da - neg.da
-                vel_a = config.momentum * vel_a + lr * g_a
-                new_a = params.visible_bias + vel_a
-            if not (
-                np.isfinite(new_W).all()
-                and np.isfinite(new_b).all()
-                and np.isfinite(new_a).all()
-            ):
+            if not (np.isfinite(new_W).all() and np.isfinite(new_b).all()):
                 raise TrainingDivergedError(epoch, bi)
             if config.projection_enabled:
                 new_W, _report = project_spectral(new_W)
-            params = params.with_(
-                weights=new_W, hidden_bias=new_b, visible_bias=new_a
-            )
+            params = params.with_(weights=new_W, hidden_bias=new_b)
         recon = reconstruction_error(params, data)
         record = EpochRecord(epoch=epoch, recon_error=recon)
         if loglik_fn is not None:
             record.log_likelihood = float(loglik_fn(params))
         log.epochs.append(record)
-        if config.lr_decay is not None:
-            lr *= config.lr_decay
         if config.stop_recon_error is not None and recon < config.stop_recon_error:
             break
     return params, log

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leaky_rbm import RbmParams, save_model
+from leaky_rbm import HiddenKind, RbmParams, save_model, write_raw_f32
 from leaky_rbm.cli import build_parser, main, read_config
 from leaky_rbm.data_io import load_model
 
@@ -171,3 +175,149 @@ class TestParser:
 
         with pytest.raises(UsageError):
             parser.parse_args(["experiment", "nonsense"])
+
+
+class TestMalformedOptions:
+    """Each bad option value ends in exit 1 with one stderr line."""
+
+    @pytest.fixture
+    def files(self, tmp_path, rng):
+        data = _write_data(tmp_path / "d.csv", rng, n=20, cols=2)
+        model = tmp_path / "m.rbm"
+        save_model(model, random_safe_params(rng, 2, 2, leakiness=0.2, max_norm=0.7))
+        bernoulli = tmp_path / "b.rbm"
+        save_model(bernoulli, RbmParams.create(
+            np.full((2, 2), 0.3), hidden_kind=HiddenKind.BERNOULLI
+        ))
+        return {"data": str(data), "model": str(model), "bernoulli": str(bernoulli),
+                "out": str(tmp_path)}
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            pytest.param(config, argv, id=config or " ".join(argv[-2:]))
+            for config, argv in [
+                ("hidden=abc", ["train", "--data", "{data}"]),
+                ("neg-sampler=bogus", ["train", "--data", "{data}"]),
+                ("kind=weird", ["train", "--data", "{data}"]),
+                ("no-projection=maybe", ["train", "--data", "{data}"]),
+                ("path=bogus", ["estimate-z", "--model", "{model}"]),
+                (None, ["train", "--data", "{data}", "--batch-size", "0"]),
+                (None, ["train", "--data", "{data}", "--cd-steps", "0"]),
+                (None, ["train", "--data", "{data}", "--epochs", "-1"]),
+                (None, ["train", "--data", "{data}", "--hidden", "0"]),
+                (None, ["train", "--data", "{data}", "--leakiness", "0"]),
+                (None, ["train", "--data", "{data}", "--momentum", "1.5"]),
+                (None, ["estimate-z", "--model", "{model}", "--levels", "0"]),
+                (None, ["estimate-z", "--model", "{model}", "--particles", "0"]),
+                (None, ["sample", "--model", "{model}", "--steps", "-1"]),
+                (None, ["eval-ll", "--model", "{model}", "--data", "{data}",
+                        "--log-z", "nan"]),
+                (None, ["train", "--data", "{data}", "--kind", "bernoulli",
+                        "--neg-sampler", "leaky-anneal"]),
+                (None, ["estimate-z", "--model", "{bernoulli}", "--path", "leaky"]),
+            ]
+        ],
+    )
+    def test_exits_1_with_one_line(self, tmp_path, files, capsys, config, argv):
+        head = ["--out", files["out"]]
+        if config is not None:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(config + "\nepochs=1\nlevels=3\nparticles=4\n")
+            head += ["--config", str(cfg)]
+        rc = main(head + [arg.format(**files) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+def test_leaky_anneal_trains_from_an_infeasible_initial_draw(tmp_path, rng):
+    # W0 ~ U(0, 0.01) at 100x500 has sigma_max ~1.1; the annealed sampler's
+    # base Gaussian needs I - W W^T >= 0 on the first minibatch
+    data = _write_data(tmp_path / "d.csv", rng, n=20, cols=100)
+    rc = main(
+        [
+            "--out", str(tmp_path), "train", "--data", str(data),
+            "--hidden", "500", "--epochs", "1", "--batch-size", "20",
+            "--neg-sampler", "leaky-anneal",
+        ]
+    )
+    assert rc == 0
+    model, _ = load_model(tmp_path / "model.rbm")
+    assert model.is_safe()
+
+
+_FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _mutated(blob: bytes, edits, cut) -> bytes:
+    """``blob`` with bytes overwritten at (position, value) pairs, then cut."""
+    buf = bytearray(blob)
+    for pos, value in edits:
+        buf[pos % len(buf)] = value
+    return bytes(buf[: None if cut is None else cut % (len(buf) + 1)])
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=4)
+_CUT = st.none() | st.integers(0, 1 << 16)
+
+
+def _assert_clean_exit(fuzz_dir, argv, **paths):
+    argv = ["--out", str(fuzz_dir)] + [arg.format(**paths) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    save_model(d / "model.rbm", random_safe_params(rng, 2, 2, leakiness=0.2, max_norm=0.7))
+    data = rng.standard_normal((6, 2))
+    np.savetxt(d / "data.csv", data, delimiter=",")
+    write_raw_f32(d / "data.f32", data)
+    return d
+
+
+@_FUZZ
+@given(
+    edits=_EDITS,
+    cut=_CUT,
+    command=st.sampled_from(
+        [
+            ["sample", "--model", "{model}", "--n", "3", "--steps", "2"],
+            ["estimate-z", "--model", "{model}", "--levels", "2", "--particles", "4"],
+            ["estimate-z", "--model", "{model}", "--path", "energy", "--levels", "2",
+             "--particles", "4"],
+            ["eval-ll", "--model", "{model}", "--data", "{data}", "--log-z", "1.5"],
+        ]
+    ),
+)
+def test_fuzz_model_file(fuzz_dir, edits, cut, command):
+    model = fuzz_dir / "fuzzed.rbm"
+    model.write_bytes(_mutated((fuzz_dir / "model.rbm").read_bytes(), edits, cut))
+    _assert_clean_exit(fuzz_dir, command, model=model, data=fuzz_dir / "data.csv")
+
+
+@_FUZZ
+@given(
+    edits=_EDITS,
+    cut=_CUT,
+    source=st.sampled_from(["data.csv", "data.f32"]),
+    command=st.sampled_from(
+        [
+            ["train", "--data", "{data}", "--hidden", "2", "--epochs", "1",
+             "--batch-size", "4"],
+            ["eval-ll", "--model", "{model}", "--data", "{data}", "--log-z", "1.5"],
+        ]
+    ),
+)
+def test_fuzz_data_file(fuzz_dir, edits, cut, source, command):
+    data = fuzz_dir / ("fuzzed-" + source)
+    data.write_bytes(_mutated((fuzz_dir / source).read_bytes(), edits, cut))
+    _assert_clean_exit(fuzz_dir, command, model=fuzz_dir / "model.rbm", data=data)

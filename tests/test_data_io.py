@@ -103,6 +103,12 @@ class TestIngest:
         with pytest.raises(DataFormatError):
             ingest(path)
 
+    def test_empty_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError, match="empty"):
+            ingest(path)
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0\n")
@@ -144,8 +150,31 @@ class TestModelFile:
         path = tmp_path / "m.rbm"
         save_model(path, p)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 10])
-        with pytest.raises(ModelFileError):
+        for cut in (10, 40):  # inside the provenance, inside the weights
+            path.write_bytes(blob[: len(blob) - cut])
+            with pytest.raises(ModelFileError, match="m.rbm"):
+                load_model(path)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (17, np.nan, "leakiness"),
+            (17, 0.0, "leakiness"),
+            (17, 1.5, "leakiness"),
+            (25, np.inf, "finite"),
+            (73, np.nan, "finite"),
+        ],
+        ids=["nan-leakiness", "zero-leakiness", "leakiness-above-1", "inf-weight",
+             "nan-hidden-bias"],
+    )
+    def test_invalid_values_rejected(self, tmp_path, rng, offset, value, message):
+        # 2x2 layout: leakiness at byte 17, W at 25, a at 57, b at 73
+        path = tmp_path / "m.rbm"
+        save_model(path, random_safe_params(rng))
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match=f"m.rbm.*{message}"):
             load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path, rng):

@@ -34,6 +34,12 @@ class TestTrainConfig:
             TrainConfig(cd_steps=0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-1e-3)
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=float("nan"))
+        with pytest.raises(ValueError):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=-1)
 
     def test_hash_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
