@@ -66,13 +66,15 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
-def _count(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer in [minimum, maximum]."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return count
@@ -114,7 +116,8 @@ def build_parser(config: dict[str, str] | None = None) -> _Parser:
     config value is parsed and checked exactly like the same flag.
     """
     parser = _Parser(prog="leaky-rbm")
-    parser.add_argument("--seed", type=_count(0), default=0)
+    # model files store the seed as a signed 64-bit integer
+    parser.add_argument("--seed", type=_count(0, 2**63 - 1), default=0)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=".", help="output directory")
     sub = parser.add_subparsers(dest="command")
@@ -171,13 +174,20 @@ def build_parser(config: dict[str, str] | None = None) -> _Parser:
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
 
     if config:
+        known = set()
         for p in (parser, *sub.choices.values()):
-            p.set_defaults(**{
-                action.dest: config[key]
+            options = {
+                action.dest.replace("_", "-"): action.dest
                 for action in p._actions
                 if action.option_strings
-                and (key := action.dest.replace("_", "-")) in config
-            })
+            }
+            p.set_defaults(
+                **{dest: config[key] for key, dest in options.items() if key in config}
+            )
+            known.update(options)
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise UsageError(f"config key names no option: {', '.join(unknown)}")
     return parser
 
 
@@ -271,6 +281,11 @@ def _cmd_estimate_z(args) -> int:
 def _cmd_eval_ll(args) -> int:
     params, _prov = load_model(args.model)
     dataset = ingest(args.data, args.data_format)
+    if dataset.matrix.shape[1] != params.n_visible:
+        raise DataFormatError(
+            f"{args.data}: {dataset.matrix.shape[1]} columns, "
+            f"model has {params.n_visible} visible units"
+        )
     log_z = args.log_z
     if log_z is None:
         log_z = _estimate(params, args).log_z

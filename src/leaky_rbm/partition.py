@@ -210,12 +210,18 @@ def _check_integrable(params: RbmParams, n_directions: int = 4096) -> float:
     else:
         theta = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    coeff = _direction_coefficients(params, dirs)
-    min_coeff = float(coeff.min())
-    if min_coeff <= 1e-12:
+    min_coeff = float(_direction_coefficients(params, dirs).min())
+    # The fan can step over the one ray along which a model on the feasible
+    # boundary diverges.  No region is looser than the all-active one, whose
+    # precision is I - W W^T, so its eigenvectors are checked as well; the
+    # fan alone sizes the integration box.
+    _, vecs = np.linalg.eigh(np.eye(dim) - params.weights @ params.weights.T)
+    edge = _direction_coefficients(params, np.vstack([vecs.T, -vecs.T]))
+    worst = min(min_coeff, float(edge.min()))
+    if worst <= 1e-12:
         raise DivergentIntegralError(
             f"unnormalized marginal diverges along a ray "
-            f"(asymptotic precision {min_coeff:.3e})"
+            f"(asymptotic precision {worst:.3e})"
         )
     return min_coeff
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, NonPDRegionError
 from .model import HiddenKind, RbmParams, bernoulli_hidden_conditional, hidden_conditional
-from .projection import is_globally_safe
+from .projection import safety_from_max_singular_value
 
 # Shrink applied to W when its top singular value is within this margin of
 # 1, so the c = 1 covariance stays invertible for the exact base draw.
@@ -86,10 +86,10 @@ def gaussian_base_params(params: RbmParams) -> RbmParams:
     value of W is within _BASE_SHRINK_MARGIN of 1, W is rescaled so that
     it is 1 - _BASE_SHRINK_MARGIN; otherwise the model comes back as given.
     """
-    safe, min_eig = is_globally_safe(params.weights)
+    smax = params.max_singular_value()
+    safe, min_eig = safety_from_max_singular_value(smax)
     if not safe:
         raise NonPDRegionError(min_eig, "base Gaussian requires I - WW^T >= 0")
-    smax = params.max_singular_value()
     if smax > 1.0 - _BASE_SHRINK_MARGIN:
         return params.with_(weights=params.weights * ((1.0 - _BASE_SHRINK_MARGIN) / smax))
     return params

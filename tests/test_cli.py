@@ -51,6 +51,24 @@ class TestExitCodes:
         rc = main(["train", "--data", str(tmp_path / "none.csv")])
         assert rc == 1
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, rng, capsys):
+        data = _write_data(tmp_path / "d.csv", rng)
+        cfg = tmp_path / "cfg"
+        cfg.write_text("hiden=5\nepochs=1\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "train", "--data", str(data)])
+        assert rc == 1
+        assert "hiden" in capsys.readouterr().err
+        assert not (tmp_path / "model.rbm").exists()
+
+    def test_eval_ll_width_mismatch_is_file_error(self, tmp_path, rng, capsys):
+        model = tmp_path / "m.rbm"
+        save_model(model, random_safe_params(rng, 2, 2, leakiness=0.2, max_norm=0.7))
+        data = _write_data(tmp_path / "wide.csv", rng, n=10, cols=3)
+        rc = main(["eval-ll", "--model", str(model), "--data", str(data), "--log-z", "1.0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and "wide.csv" in err, err
+
     def test_numerical_failure_is_exit_2(self, tmp_path, rng, capsys):
         # an unsafe model makes the annealed sampler's base Gaussian
         # undefined, which the contract maps to exit code 2
@@ -202,6 +220,7 @@ class TestMalformedOptions:
                 ("kind=weird", ["train", "--data", "{data}"]),
                 ("no-projection=maybe", ["train", "--data", "{data}"]),
                 ("path=bogus", ["estimate-z", "--model", "{model}"]),
+                ("hiden=5", ["train", "--data", "{data}"]),
                 (None, ["train", "--data", "{data}", "--batch-size", "0"]),
                 (None, ["train", "--data", "{data}", "--cd-steps", "0"]),
                 (None, ["train", "--data", "{data}", "--epochs", "-1"]),
@@ -229,6 +248,16 @@ class TestMalformedOptions:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("seed, expected", [(2**63 - 1, 0), (2**63, 1)])
+    def test_seed_fits_the_model_file(self, files, capsys, seed, expected):
+        # model files store the seed as a signed 64-bit integer
+        rc = main(["--out", files["out"], "--seed", str(seed),
+                   "train", "--data", files["data"], "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == expected, err
+        if expected:
+            assert len(err.splitlines()) == 1 and "--seed" in err, err
 
 
 def test_leaky_anneal_trains_from_an_infeasible_initial_draw(tmp_path, rng):

@@ -110,10 +110,25 @@ class TestQuadrature:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_massless_box_raises_divergent(self):
         # two sweeps of leaky-anneal training on mixing task 21 leave
-        # I - WW^T with eigenvalue -8e-16 along a ray the integrability fan
-        # misses; the grown box then holds no mass and dblquad returns 0
+        # I - WW^T with an eigenvalue of order -1e-16 along a ray the
+        # integrability fan misses; with the SVD projection the grown box
+        # then held no mass and dblquad returned 0
         data = mixing_task_data(21)
         model = train_mixing_method(21, NegSampler.LEAKY_ANNEAL, data, epochs=2)[0]
+        with pytest.raises(DivergentIntegralError):
+            quadrature_log_z(model, 1e-7)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_boundary_ray_between_fan_rays_raises_divergent(self):
+        # I - WW^T has eigenvalue -5e-17 along a ray between two of the
+        # fan's; checking the fan alone, the box holds mass and the
+        # estimate came back as log Z = 2.4e21
+        model = RbmParams.create(
+            [[-0.0026230582707979407, -0.061278519983755636],
+             [-0.18480291766847093, -0.9808988392441866]],
+            hidden_bias=[-45.737490126577754, -243.47703708217426],
+            leakiness=0.01,
+        )
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(model, 1e-7)
 

@@ -53,6 +53,59 @@ class TestProjectSpectral:
             assert d_proj <= d_grid + 1e-6
 
 
+def _svd_projection(W):
+    U, s, Vt = np.linalg.svd(W, full_matrices=False)
+    return (U * np.minimum(s, 1.0)) @ Vt
+
+
+class TestAgainstSvd:
+    """The Gram-eigenpair projection against the full-SVD definition."""
+
+    @pytest.mark.parametrize("shape", [(40, 16), (16, 40), (20, 20)])
+    def test_matches_svd_reference(self, shape):
+        rng = make_rng(5)
+        # singular values 0.1 .. 3.0, so 11 or more of them exceed 1
+        U, _ = np.linalg.qr(rng.standard_normal((shape[0], min(shape))))
+        V, _ = np.linalg.qr(rng.standard_normal((shape[1], min(shape))))
+        s = np.linspace(3.0, 0.1, min(shape))
+        W = (U * s) @ V.T
+        W_proj, report = project_spectral(W)
+        assert report.clipped_count == int(np.count_nonzero(s > 1.0)) >= 10
+        assert np.abs(W_proj - _svd_projection(W)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (20, 20)])
+    def test_report_matches_svd(self, shape):
+        W = make_rng(6).standard_normal(shape) * 0.4
+        _, report = project_spectral(W)
+        s = np.linalg.svd(W, compute_uv=False)
+        assert report.clipped_count == int(np.count_nonzero(s > 1.0)) > 0
+        np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
+        assert report.max_singular_value_after == 1.0
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (20, 20)])
+    def test_feasible_matrix_is_bitwise_unchanged(self, shape):
+        W = make_rng(7).standard_normal(shape)
+        W *= 0.999 / np.linalg.svd(W, compute_uv=False)[0]
+        W_proj, report = project_spectral(W)
+        assert W_proj is not W
+        assert W_proj.tobytes() == W.tobytes()
+        assert report.clipped_count == 0
+        np.testing.assert_allclose(report.max_singular_value_before, 0.999, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_extreme_scales(self, shape, scale):
+        # the Gram matrix of these overflows or underflows unless W is
+        # rescaled first
+        W = make_rng(8).standard_normal(shape) * scale
+        W_proj, report = project_spectral(W)
+        s = np.linalg.svd(W, compute_uv=False)
+        assert np.isfinite(W_proj).all()
+        assert is_globally_safe(W_proj)[0]
+        np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
+        assert report.clipped_count == int(np.count_nonzero(s > 1.0))
+
+
 class TestIsGloballySafe:
     def test_zero_weights(self):
         safe, eig = is_globally_safe(np.zeros((3, 2)))
