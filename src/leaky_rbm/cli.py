@@ -286,11 +286,12 @@ def _cmd_eval_ll(args) -> int:
             f"{args.data}: {dataset.matrix.shape[1]} columns, "
             f"model has {params.n_visible} visible units"
         )
-    log_z = args.log_z
+    log_z, dropped = args.log_z, ""
     if log_z is None:
-        log_z = _estimate(params, args).log_z
+        est = _estimate(params, args)
+        log_z, dropped = est.log_z, f" dropped {est.n_dropped}"
     loglik = eval_mean_log_likelihood(params, dataset.matrix, log_z)
-    print(f"mean_loglik {loglik:.6f} log_z {log_z:.6f}")
+    print(f"mean_loglik {loglik:.6f} log_z {log_z:.6f}{dropped}")
     return 0
 
 

@@ -201,6 +201,11 @@ def activation_pattern(params: RbmParams, v) -> ActivationPattern:
     return ActivationPattern(alpha)
 
 
+def region_precision(W: np.ndarray, alpha) -> np.ndarray:
+    """Omega = I - sum_j alpha_j W_j W_j^T; alpha is one pattern or a stack."""
+    return np.eye(W.shape[0]) - (W * np.asarray(alpha)[..., None, :]) @ W.T
+
+
 def region_precision_mean(params: RbmParams, pattern: ActivationPattern) -> RegionGaussian:
     """Precision matrix and mean of the Gaussian on one region.
 
@@ -211,11 +216,10 @@ def region_precision_mean(params: RbmParams, pattern: ActivationPattern) -> Regi
     alpha = np.asarray(pattern.alpha, dtype=np.float64)
     if alpha.shape != (params.n_hidden,):
         raise DimensionError("activation pattern length does not match model")
-    W = params.weights
-    omega = np.eye(params.n_visible) - (W * alpha) @ W.T
+    omega = region_precision(params.weights, alpha)
     min_eig = float(np.linalg.eigvalsh(omega)[0])
     is_pd = min_eig > SAFE_TOL
-    rhs = params.visible_bias + W @ (alpha * params.hidden_bias)
+    rhs = params.visible_bias + params.weights @ (alpha * params.hidden_bias)
     try:
         mean = np.linalg.solve(omega, rhs)
     except np.linalg.LinAlgError:

@@ -2,9 +2,9 @@
 
 Three exact references are available at small scale: the closed form for
 orthogonal-column models with zero hidden bias, the leakiness-1 Gaussian
-closed form, and low-dimensional adaptive quadrature of the unnormalized
-marginal.  AIS supports three interpolation schemes between the tractable
-base and the target:
+closed form, and for I <= 2 the sum of the marginal's Gaussian integrals
+over its activation regions.  AIS supports three interpolation schemes
+between the tractable base and the target:
 
 * energy path: geometric interpolation of the energy, which scales the
   weights toward zero on the way back to a standard normal (two-sided
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import erfcx, log_ndtr, logsumexp
 
 from .errors import DimensionError, DivergentIntegralError, NonPDRegionError
 from .model import (
@@ -32,6 +32,7 @@ from .model import (
     RbmParams,
     bernoulli_log_unnorm_marginal,
     log_unnorm_marginal,
+    region_precision,
 )
 from .projection import is_globally_safe
 from .sampler import _as_rng, gaussian_base_params, gibbs_step, sample_gaussian_base
@@ -186,154 +187,144 @@ def exact_log_z_orthogonal(params: RbmParams) -> float:
     return 0.5 * params.n_visible * LOG_2PI + float(per_col.sum())
 
 
-def _direction_coefficients(params: RbmParams, directions: np.ndarray) -> np.ndarray:
-    """Asymptotic quadratic coefficient of -2 log p* along each unit ray."""
-    W = params.weights
-    proj = directions @ W  # (n, J)
-    b = params.hidden_bias
-    # at large radius the branch is decided by the projection's sign;
-    # exactly-zero projections fall back to the sign of the bias
-    positive = np.where(np.abs(proj) > 1e-12, proj > 0, b[None, :] > 0)
-    alpha = np.where(positive, 1.0, params.leakiness)
-    return 1.0 - np.sum(alpha * proj**2, axis=1)
+_DIVERGES = "unnormalized marginal diverges along a ray (asymptotic precision {:.3e})"
 
 
-def _check_integrable(params: RbmParams, n_directions: int = 4096) -> float:
-    """Smallest asymptotic precision over a fine fan of rays.
-
-    Raises when any ray has non-positive coefficient, i.e. the density
-    grows along an unbounded region and the integral diverges.
-    """
-    dim = params.n_visible
-    if dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        theta = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    min_coeff = float(_direction_coefficients(params, dirs).min())
-    # The fan can step over the one ray along which a model on the feasible
-    # boundary diverges.  No region is looser than the all-active one, whose
-    # precision is I - W W^T, so its eigenvectors are checked as well; the
-    # fan alone sizes the integration box.
-    _, vecs = np.linalg.eigh(np.eye(dim) - params.weights @ params.weights.T)
-    edge = _direction_coefficients(params, np.vstack([vecs.T, -vecs.T]))
-    worst = min(min_coeff, float(edge.min()))
-    if worst <= 1e-12:
-        raise DivergentIntegralError(
-            f"unnormalized marginal diverges along a ray "
-            f"(asymptotic precision {worst:.3e})"
+def _log_gauss_piece(q, l, k, lo, hi, epsrel) -> float:
+    """log of the integral of exp(-q t^2/2 + l t + k) over lo < t < hi."""
+    if q <= 1e-12:
+        if math.isinf(lo) or math.isinf(hi):
+            raise DivergentIntegralError(_DIVERGES.format(q))
+        # flat or convex, as only a bounded piece outside the feasible set
+        # can be: the exponent peaks at an end
+        g = lambda t: (l - 0.5 * q * t) * t + k
+        top = max(g(lo), g(hi))
+        val, _err = integrate.quad(
+            lambda t: math.exp(g(t) - top), lo, hi, epsabs=0.0, epsrel=epsrel
         )
-    return min_coeff
+        return top + math.log(val)
+    mu = l / q
+    if hi <= mu:  # mirror a piece left of the mean onto the right
+        lo, hi, l, mu = -hi, -lo, -l, -mu
+    z_lo, z_hi = math.sqrt(q) * (lo - mu), math.sqrt(q) * (hi - mu)
+    if z_lo < 0.0:  # the piece holds the mean
+        base, top, low = k + 0.5 * l * mu, log_ndtr(z_hi), log_ndtr(z_lo)
+    else:  # upper tails anchored at lo: log Q(z) + z^2/2 cancels nothing
+        base = (l - 0.5 * q * lo) * lo + k
+        top = math.log(0.5 * erfcx(z_lo / math.sqrt(2.0)))
+        low = log_ndtr(-z_hi) + 0.5 * z_lo * z_lo
+    # log(1 - exp(low - top)); a piece too narrow to resolve holds nothing
+    rest = math.log(-math.expm1(low - top)) if low < top else -math.inf
+    return base + 0.5 * (LOG_2PI - math.log(q)) + top + rest
 
 
-def _point_log_marginal(params: RbmParams):
-    """``log_unnorm_marginal`` of one point given as scalar coordinates.
+def _line_log_integral(p, r, k0, c, epsrel) -> float:
+    """log of the integral over t of exp(k0 - t^2/2 + sum_j f(p_j t + r_j)).
 
-    The quadrature calls its integrand ~1e5 times per estimate, where the
-    array checks and reductions of ``log_unnorm_marginal`` cost four times
-    the arithmetic.  Here only the response ``v @ W + b`` stays in numpy;
-    the sums run left to right, as numpy's do below 8 terms, so with fewer
-    than 8 hidden units the value is the same double.
+    f(eta) = alpha eta^2 / 2 with alpha = 1 for eta > 0 and c otherwise.
+    Between the zeros t = -r_j / p_j every alpha_j is fixed, so each piece
+    is one Gaussian integral in closed form.
     """
-    weights = params.weights
-    hidden_bias = params.hidden_bias
-    visible_bias = params.visible_bias.tolist()
-    c = float(params.leakiness)
+    cuts = sorted((-rj / pj, j) for j, (pj, rj) in enumerate(zip(p, r)) if pj != 0.0)
+    # as t -> -inf, eta_j > 0 iff p_j < 0; a flat eta_j keeps the sign of r_j
+    alpha = [1.0 if pj < 0.0 or (pj == 0.0 and rj > 0.0) else c for pj, rj in zip(p, r)]
+    edges = [-math.inf, *(t for t, _ in cuts), math.inf]
+    logs = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if hi > lo:
+            q = 1.0 - sum(a * pj * pj for a, pj in zip(alpha, p))
+            l = sum(a * pj * rj for a, pj, rj in zip(alpha, p, r))
+            k = k0 + 0.5 * sum(a * rj * rj for a, rj in zip(alpha, r))
+            logs.append(_log_gauss_piece(q, l, k, lo, hi, epsrel))
+        if i < len(cuts):  # past its zero a unit switches branch
+            j = cuts[i][1]
+            alpha[j] = c if alpha[j] == 1.0 else 1.0
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
 
-    def logp(*v: float) -> float:
-        quad = 0.0
-        for x, a in zip(v, visible_bias):
-            d = x - a
-            quad += d * d
-        act = 0.0
-        for eta in (np.array(v) @ weights + hidden_bias).tolist():
-            act += eta * eta if eta > 0 else c * (eta * eta)
-        return -(0.5 * quad) + 0.5 * act
 
-    return logp
+def _check_sectors(W: np.ndarray, c: float, rays: np.ndarray) -> None:
+    """Raise unless the 2-D marginal decays along every ray.
+
+    The sorted ``rays``, the angles where some w_j . u = 0, cut the circle
+    into arcs of at most pi.  On each the pattern alpha of large |v| is
+    fixed and -2 log p* grows like r^2 u^T Omega_alpha u, which over the
+    arc is smallest at an end or at an eigenvector of Omega_alpha inside.
+    """
+    ends = np.append(rays, rays[:1] + 2.0 * np.pi)
+    lo, hi = ends[:-1][np.diff(ends) > 0.0], ends[1:][np.diff(ends) > 0.0]
+    unit = lambda theta: np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    omega = region_precision(W, np.where(unit((lo + hi) / 2) @ W > 0.0, 1.0, c))
+    form = lambda theta: np.einsum("ni,nij,nj->n", unit(theta), omega, unit(theta))
+    vals, vecs = np.linalg.eigh(omega)
+    inside = np.mod(np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) - lo, np.pi) < hi - lo
+    worst = np.concatenate([form(lo), form(hi), vals[inside, 0]]).min(initial=np.inf)
+    if worst <= 1e-12:
+        raise DivergentIntegralError(_DIVERGES.format(worst))
+
+
+def _plane_log_z(W: np.ndarray, b: np.ndarray, c: float, epsrel: float) -> float:
+    """log Z for I = 2 and a = 0: exact y-integrals, one ``quad`` per x-interval."""
+    # directions (-w_j1, w_j0) of the lines eta_j = 0, modulo pi
+    psi = np.sort(np.mod(np.arctan2(W[0], -W[1])[np.any(W, axis=0)], np.pi))
+    _check_sectors(W, c, np.append(psi, psi + np.pi))
+    # integrate y along the direction farthest from every line, so that no
+    # line sweeps through the columns as x moves; turning v and W together
+    # leaves Z unchanged
+    gaps = np.diff(np.append(psi, psi[:1] + np.pi))
+    theta = psi[np.argmax(gaps)] + gaps.max() / 2 if psi.size else np.pi / 2
+    W = np.array([[np.sin(theta), -np.cos(theta)], [np.cos(theta), np.sin(theta)]]) @ W
+    (w0, w1), bs = W.tolist(), b.tolist()
+    log_column = lambda x: _line_log_integral(  # log of the y-integral at x
+        w1, [u * x + v for u, v in zip(w0, bs)], -0.5 * x * x, c, epsrel
+    )
+    # no line is vertical now: a column's pattern changes where two cross
+    i, j = np.triu_indices(len(bs), 1)
+    det = W[0, i] * W[1, j] - W[0, j] * W[1, i]
+    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
+    kinks = set(((b[j] * W[1, i] - b[i] * W[1, j]) / det).tolist())
+    # every region meets a column between kinks, in one piece of its cut;
+    # the local maxima of p* are means of positive-definite region Gaussians
+    inside = lambda t: (  # a point in each piece of a line cut at sorted t
+        [t[0] - 1, *((s + u) / 2 for s, u in zip(t, t[1:])), t[-1] + 1] if t else [0])
+    pts = [(x, y) for x in inside(sorted(kinks))
+           for y in inside(sorted(-(u * x + v) / s for u, s, v in zip(w0, w1, bs) if s))]
+    alpha = np.unique(np.where(np.array(pts) @ W + b > 0.0, 1.0, c), axis=0)
+    omega = region_precision(W, alpha)
+    pd = np.linalg.eigvalsh(omega)[:, 0] > 0.0
+    omega, rhs = omega[pd], (alpha[pd] * b) @ W.T
+    peaks = np.linalg.solve(omega, rhs[..., None])[:, 0, 0].tolist()
+    # 40 marginal sds past every peak the mass is nil; splitting there keeps
+    # quad's first nodes from stepping over a peak
+    reach = 40.0 * np.sqrt(omega[:, 1, 1] / np.linalg.det(omega)).max(initial=1.0)
+    edges = sorted(kinks.union(*({m - reach, m, m + reach} for m in peaks)))
+    shift = max(map(log_column, edges or [0.0]))
+    column = lambda x: math.exp(log_column(x) - shift)
+    bounds = [-math.inf, *edges, math.inf]
+    parts = [integrate.quad(column, lo, hi, epsabs=0.0, epsrel=epsrel)[0]
+             for lo, hi in zip(bounds, bounds[1:])]
+    return shift + math.log(sum(parts))
 
 
 def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
-    """Brute-force log partition by adaptive quadrature; I <= 2 only.
+    """Exact log partition of a leaky model with I <= 2, region by region.
 
-    Integrates exp(log unnormalized marginal) over a box wide enough that
-    the truncated tail is negligible, growing the box until successive
-    estimates agree to the requested relative tolerance.
+    On each activation region the marginal is a Gaussian: for I = 1 log Z
+    sums closed-form integrals, for I = 2 so does the inner y-integral at
+    each x, and the outer x-integral is one ``quad`` per interval between
+    kinks, to relative ``tolerance`` (at least 1e-12).  Raises
+    DivergentIntegralError when the marginal does not decay along a ray.
     """
-    dim = params.n_visible
-    if dim > 2:
+    if params.n_visible > 2:
         raise DimensionError("quadrature oracle supports at most 2 visible units")
     if params.hidden_kind is not HiddenKind.LEAKY_RELU:
         raise ValueError("quadrature oracle targets the leaky marginal")
-    min_coeff = _check_integrable(params)
-    max_std = 1.0 / math.sqrt(min_coeff)
-    # center near the bulk: mean of the loosest-region Gaussian at c = 1
-    try:
-        omega = np.eye(dim) - params.weights @ params.weights.T
-        center = np.linalg.solve(
-            omega, params.visible_bias + params.weights @ params.hidden_bias
-        )
-    except np.linalg.LinAlgError:
-        center = params.visible_bias.copy()
-    if not np.isfinite(center).all():
-        center = params.visible_bias.copy()
-
-    logp = _point_log_marginal(params)
-
-    shift = _probe_max(params, center, max_std)
-
-    def guarded_exp(log_value: float) -> float:
-        arg = log_value - shift
-        if arg > 700.0:
-            # the probed maximum was off by more than exp(700): the integrand
-            # is effectively unbounded over the box and the estimate would be
-            # garbage, so refuse instead of overflowing
-            raise DivergentIntegralError(
-                "integrand exceeds the probed maximum by an overflow margin"
-            )
-        return math.exp(arg)
-
-    half_width = 10.0 * max_std
-    prev = None
-    for _ in range(6):
-        if dim == 1:
-            lo, hi = center[0] - half_width, center[0] + half_width
-            val, _err = integrate.quad(
-                lambda x: guarded_exp(logp(x)), lo, hi,
-                epsabs=0.0, epsrel=max(tolerance, 1e-12), limit=400,
-            )
-        else:
-            val, _err = integrate.dblquad(
-                lambda y, x: guarded_exp(logp(x, y)),
-                center[0] - half_width, center[0] + half_width,
-                center[1] - half_width, center[1] + half_width,
-                epsabs=0.0, epsrel=max(tolerance, 1e-10),
-            )
-        if not val > 0.0:
-            # a near-singular I - WW^T spreads the mass so thinly over the
-            # grown box that the quadrature finds none
-            raise DivergentIntegralError(
-                "quadrature found no mass in the integration box "
-                "(I - WW^T is near singular)"
-            )
-        cur = shift + math.log(val)
-        if prev is not None and abs(cur - prev) <= tolerance * max(1.0, abs(prev)):
-            return cur
-        prev = cur
-        half_width *= 1.4
-    return cur
-
-
-def _probe_max(params: RbmParams, center: np.ndarray, max_std: float) -> float:
-    """Rough maximum of the log marginal, used to shift the exponent."""
-    dim = params.n_visible
-    grid_1d = np.linspace(-4.0 * max_std, 4.0 * max_std, 33)
-    if dim == 1:
-        pts = center[0] + grid_1d[:, None]
-    else:
-        gx, gy = np.meshgrid(grid_1d, grid_1d)
-        pts = center[None, :] + np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return float(np.max(log_unnorm_marginal(params, pts)))
+    epsrel = max(tolerance, 1e-12)
+    W, c = params.weights, params.leakiness
+    b = params.hidden_bias + params.visible_bias @ W  # shift v by a
+    if params.n_visible == 2:
+        return float(_plane_log_z(W, b, c, epsrel))
+    return float(_line_log_integral(W[0].tolist(), b.tolist(), 0.0, c, epsrel))
 
 
 def exact_log_z_bernoulli(params: RbmParams) -> float:

@@ -160,11 +160,13 @@ def _schedule_for(params: RbmParams, config: TrainConfig) -> AnnealSchedule:
 def reconstruction_error(params: RbmParams, batch) -> float:
     """Mean squared error of the one-step conditional-mean reconstruction.
 
-    Logged for monitoring only; not a likelihood surrogate.
+    Logged for monitoring only; not a likelihood surrogate.  Summed over
+    blocks of 1024 rows, so its temporaries stay small on large data.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    recon = visible_conditional(params, expected_hidden(params, batch))
-    return float(np.mean((batch - recon) ** 2))
+    blocks = np.split(batch, range(1024, len(batch), 1024))
+    recon = lambda x: visible_conditional(params, expected_hidden(params, x))
+    return float(sum(np.sum((x - recon(x)) ** 2) for x in blocks) / batch.size)
 
 
 def train(

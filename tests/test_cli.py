@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaky_rbm import HiddenKind, RbmParams, save_model, write_raw_f32
+from leaky_rbm import cli
 from leaky_rbm.cli import build_parser, main, read_config
 from leaky_rbm.data_io import load_model
 
@@ -182,6 +184,26 @@ class TestModelPipeline:
         )
         assert rc == 0
         assert "log_z" in capsys.readouterr().out
+
+    def test_eval_ll_reports_dropped_particles(
+        self, tmp_path, trained_model, rng, capsys, monkeypatch
+    ):
+        data = _write_data(tmp_path / "d.csv", rng, n=40, cols=2)
+        argv = [
+            "eval-ll", "--model", str(trained_model), "--data", str(data),
+            "--levels", "30", "--particles", "100",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith(" dropped 0")
+        real = cli.ais_estimate
+        monkeypatch.setattr(
+            cli, "ais_estimate",
+            lambda *args: dataclasses.replace(real(*args), n_dropped=3),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith(" dropped 3")
+        assert main(argv[:5] + ["--log-z", "2.5"]) == 0
+        assert "dropped" not in capsys.readouterr().out
 
 
 class TestParser:

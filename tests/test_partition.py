@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from leaky_rbm import (
     AnnealingPath,
@@ -22,7 +23,6 @@ from leaky_rbm.model import bernoulli_log_unnorm_marginal, log_unnorm_marginal
 from leaky_rbm.partition import (
     PathKind,
     _base_sample_and_density,
-    _point_log_marginal,
     intermediate_log_density,
 )
 from leaky_rbm.sampler import make_rng, sample_gaussian_base
@@ -107,22 +107,19 @@ class TestQuadrature:
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(p)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_massless_box_raises_divergent(self):
         # two sweeps of leaky-anneal training on mixing task 21 leave
-        # I - WW^T with an eigenvalue of order -1e-16 along a ray the
-        # integrability fan misses; with the SVD projection the grown box
-        # then held no mass and dblquad returned 0
+        # I - WW^T with an eigenvalue of order -1e-16, whose eigenvector
+        # lies inside the all-active sector: the marginal diverges along it
         data = mixing_task_data(21)
         model = train_mixing_method(21, NegSampler.LEAKY_ANNEAL, data, epochs=2)[0]
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(model, 1e-7)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_boundary_ray_between_fan_rays_raises_divergent(self):
-        # I - WW^T has eigenvalue -5e-17 along a ray between two of the
-        # fan's; checking the fan alone, the box holds mass and the
-        # estimate came back as log Z = 2.4e21
+        # I - WW^T has eigenvalue -5e-17 along a single ray inside the
+        # all-active sector; no finite sample of rays need hit it, but the
+        # sector's eigenvector does
         model = RbmParams.create(
             [[-0.0026230582707979407, -0.061278519983755636],
              [-0.18480291766847093, -0.9808988392441866]],
@@ -145,14 +142,50 @@ class TestQuadrature:
             expected, rel=1e-7
         )
 
-    def test_integrand_is_log_unnorm_marginal_bit_for_bit(self, rng):
-        for n_visible in (1, 2):
-            for n_hidden in range(1, 8):
-                p = random_safe_params(rng, n_visible, n_hidden, leakiness=0.1)
-                p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, n_visible))
-                logp = _point_log_marginal(p)
-                for v in rng.standard_normal((50, n_visible)) * 5.0:
-                    assert logp(*v.tolist()) == float(log_unnorm_marginal(p, v))
+    @pytest.mark.parametrize("n_visible", [1, 2])
+    @pytest.mark.parametrize("n_hidden", [1, 2, 3])
+    def test_matches_closed_forms_to_1e12(self, rng, n_visible, n_hidden):
+        for c in (0.01, 0.1, 0.5, 1.0):
+            # orthogonal columns, padded with zero columns past I
+            k = min(n_visible, n_hidden)
+            W = np.zeros((n_visible, n_hidden))
+            W[:, :k] = random_orthogonal(rng, n_visible, k, leakiness=c).weights
+            p = RbmParams.create(W[:, rng.permutation(n_hidden)], leakiness=c)
+            assert quadrature_log_z(p) == pytest.approx(
+                exact_log_z_orthogonal(p), rel=1e-12
+            )
+        p = random_safe_params(rng, n_visible, n_hidden, leakiness=1.0, max_norm=0.95)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, n_visible))
+        assert quadrature_log_z(p) == pytest.approx(gaussian_log_z(p), rel=1e-12)
+
+    def test_integrable_model_outside_feasible_set(self):
+        # sigma_max = 1.27: the region where both units are active has
+        # precision 1 - 2 * 0.81 < 0, but it is bounded
+        p = RbmParams.create([[0.9, -0.9]], hidden_bias=[1.0, 1.0], leakiness=0.1)
+        assert not p.is_safe()
+        val, _err = integrate.quad(
+            lambda v: math.exp(float(log_unnorm_marginal(p, [v]))),
+            -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        log_z = quadrature_log_z(p)
+        assert log_z == pytest.approx(math.log(val), rel=1e-12)
+        plane = p.with_(weights=[[0.9, -0.9], [0.0, 0.0]], visible_bias=[0.0, 0.0])
+        assert quadrature_log_z(plane) == pytest.approx(log_z + 0.5 * LOG_2PI, rel=1e-12)
+
+    def test_mass_far_from_every_kink(self):
+        # one slanted line 125 units out and no crossing: the mass sits at
+        # the inactive region's mean, far from the line and from the c = 1
+        # mean; rotating a 1-D model into the plane fixes the value
+        line = RbmParams.create([[0.8]], hidden_bias=[-100.0], leakiness=0.01)
+        turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+        plane = line.with_(weights=turn @ [[0.8], [0.0]], visible_bias=[0.0, 0.0])
+        assert quadrature_log_z(plane) == pytest.approx(
+            quadrature_log_z(line) + 0.5 * LOG_2PI, rel=1e-12
+        )
+        # two nearly parallel lines cross 2e4 units from the mass
+        W = [[0.5, 0.5 * math.cos(1e-3)], [0.0, 0.5 * math.sin(1e-3)]]
+        far = RbmParams.create(W, hidden_bias=[-50.0, -60.0], leakiness=1.0)
+        assert quadrature_log_z(far) == pytest.approx(gaussian_log_z(far), rel=1e-12)
 
 
 class TestAnnealingPath:

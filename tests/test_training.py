@@ -10,7 +10,7 @@ from leaky_rbm import (
     TrainingDivergedError,
     train,
 )
-from leaky_rbm.model import log_unnorm_marginal
+from leaky_rbm.model import log_unnorm_marginal, visible_conditional
 from leaky_rbm.partition import quadrature_log_z
 from leaky_rbm.projection import is_globally_safe
 from leaky_rbm.sampler import gibbs_step, make_rng
@@ -262,3 +262,21 @@ class TestReconstructionError:
         p = random_safe_params(rng)
         batch = rng.standard_normal((10, 2)) + 5.0
         assert reconstruction_error(p, batch) > 0.0
+
+    @staticmethod
+    def _one_shot(p, batch):
+        recon = visible_conditional(p, expected_hidden(p, batch))
+        return float(np.mean((batch - recon) ** 2))
+
+    def test_one_block_is_the_one_shot_formula_bit_for_bit(self, rng):
+        p = random_safe_params(rng, 5, 3)
+        for n in (1, 700, 1024):
+            batch = rng.standard_normal((n, 5)) * 2.0
+            assert reconstruction_error(p, batch) == self._one_shot(p, batch)
+
+    def test_blocks_match_the_one_shot_formula(self, rng):
+        p = random_safe_params(rng, 5, 3)
+        batch = rng.standard_normal((2500, 5)) * 2.0
+        assert reconstruction_error(p, batch) == pytest.approx(
+            self._one_shot(p, batch), rel=1e-12
+        )
