@@ -236,7 +236,10 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     params, _prov = load_model(args.model)
     schedule = AnnealSchedule(c_target=params.leakiness, total_steps=args.steps)
-    chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
+    try:
+        chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
+    except ValueError as exc:  # a Bernoulli model has no leakiness to anneal
+        raise UsageError(exc) from None
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "samples.csv"
     np.savetxt(out, chains.v, delimiter=",", fmt="%.12g")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonPDRegionError
-from .projection import SAFE_TOL, is_globally_safe
+from .projection import SAFE_TOL, is_globally_safe, max_singular_value
 
 
 class HiddenKind(enum.Enum):
@@ -105,7 +105,7 @@ class RbmParams:
         return RbmParams(**fields)
 
     def max_singular_value(self) -> float:
-        return float(np.linalg.svd(self.weights, compute_uv=False)[0])
+        return max_singular_value(self.weights)
 
     def is_safe(self) -> bool:
         """Whether I - W W^T is positive (semi-)definite within SAFE_TOL."""
@@ -151,28 +151,33 @@ def response(params: RbmParams, v) -> np.ndarray:
     return v @ params.weights + params.hidden_bias
 
 
+def branch_slopes(eta, c) -> np.ndarray:
+    """1 where the response eta > 0, else the leakiness c (eta == 0 is leaky)."""
+    return np.where(eta > 0, 1.0, c)
+
+
 def hidden_conditional(params: RbmParams, v):
     """Mean and variance of each leaky hidden unit given v.
 
-    Positive responses get N(eta, 1); non-positive get N(c*eta, c).  The
-    boundary eta == 0 takes the leaky branch.
+    A unit on slope alpha (see ``branch_slopes``) is N(alpha eta, alpha):
+    positive responses get N(eta, 1), non-positive ones N(c eta, c).
     """
     if params.hidden_kind is not HiddenKind.LEAKY_RELU:
         raise ValueError("hidden_conditional requires leaky hidden units")
     eta = response(params, v)
-    c = params.leakiness
-    positive = eta > 0
-    mean = np.where(positive, eta, c * eta)
-    var = np.where(positive, 1.0, c)
-    return mean, var
+    alpha = branch_slopes(eta, params.leakiness)
+    return alpha * eta, alpha
 
 
 def bernoulli_hidden_conditional(params: RbmParams, v) -> np.ndarray:
     """p(h_j = 1 | v) for Bernoulli hidden units: sigmoid of the response."""
     if params.hidden_kind is not HiddenKind.BERNOULLI:
         raise ValueError("bernoulli_hidden_conditional requires Bernoulli units")
-    eta = response(params, v)
-    # overflow-safe sigmoid
+    return sigmoid(response(params, v))
+
+
+def sigmoid(eta) -> np.ndarray:
+    """Overflow-safe logistic function of an array."""
     out = np.empty_like(eta)
     pos = eta >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
@@ -196,9 +201,7 @@ def activation_pattern(params: RbmParams, v) -> ActivationPattern:
     """Branch coefficients alpha_j = 1 if eta_j > 0 else c, for a single v."""
     if params.hidden_kind is not HiddenKind.LEAKY_RELU:
         raise ValueError("activation patterns only apply to leaky hidden units")
-    eta = response(params, v)
-    alpha = np.where(eta > 0, 1.0, params.leakiness)
-    return ActivationPattern(alpha)
+    return ActivationPattern(branch_slopes(response(params, v), params.leakiness))
 
 
 def region_precision(W: np.ndarray, alpha) -> np.ndarray:
@@ -233,16 +236,14 @@ def log_unnorm_marginal(params: RbmParams, v, leakiness: float | None = None):
     Equals -||v - a||^2/2 + sum_j f(eta_j) with f(eta) = eta^2/2 on the
     positive branch and c*eta^2/2 otherwise; this is the exact result of
     integrating the hidden units out of the joint.  An explicit
-    ``leakiness`` overrides the model's c (used by annealing paths).
+    ``leakiness`` overrides the model's c (the AIS base scores at c = 1).
     """
     if params.hidden_kind is not HiddenKind.LEAKY_RELU:
         raise ValueError("log_unnorm_marginal requires leaky hidden units")
     c = params.leakiness if leakiness is None else float(leakiness)
     v = _check_visible(params, v)
-    eta = v @ params.weights + params.hidden_bias
-    coeff = np.where(eta > 0, 1.0, c)
     quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
-    return -quad + 0.5 * np.sum(coeff * eta**2, axis=-1)
+    return log_marginal_from_response(v @ params.weights + params.hidden_bias, quad, c)
 
 
 def bernoulli_log_unnorm_marginal(params: RbmParams, v):
@@ -254,7 +255,16 @@ def bernoulli_log_unnorm_marginal(params: RbmParams, v):
     if params.hidden_kind is not HiddenKind.BERNOULLI:
         raise ValueError("bernoulli_log_unnorm_marginal requires Bernoulli units")
     v = _check_visible(params, v)
-    eta = v @ params.weights + params.hidden_bias
-    softplus = np.logaddexp(0.0, eta)
     quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
-    return -quad + np.sum(softplus, axis=-1)
+    return log_marginal_from_response(v @ params.weights + params.hidden_bias, quad, None)
+
+
+def log_marginal_from_response(eta, quad, c):
+    """Log unnormalized marginal from eta = v W + b and quad = ||v - a||^2 / 2.
+
+    Leaky units of leakiness c add sum_j alpha_j eta_j^2 / 2, alpha from
+    ``branch_slopes``; Bernoulli units (c None) add sum_j softplus(eta_j).
+    """
+    if c is None:
+        return -quad + np.sum(np.logaddexp(0.0, eta), axis=-1)
+    return -quad + 0.5 * np.sum(branch_slopes(eta, c) * eta**2, axis=-1)

@@ -11,9 +11,9 @@ between the tractable base and the target:
   annealing);
 * leaky path: anneal the leakiness from 1 down to c, starting from the
   exact leakiness-1 Gaussian (one-sided annealing);
-* one-sided path: the energy-style beta grid mapped onto an effective
-  leakiness beta + (1 - beta) c; identical target family as the leaky
-  path, provided for the equivalence analysis.
+* one-sided path: a leakiness grid too, beta + (1 - beta) c for beta
+  running from 1 to 0.  Its intermediate models are the leaky path's,
+  spaced evenly in beta; it is kept for the equivalence analysis.
 """
 from __future__ import annotations
 
@@ -30,12 +30,14 @@ from .errors import DimensionError, DivergentIntegralError, NonPDRegionError
 from .model import (
     HiddenKind,
     RbmParams,
+    _check_visible,
     bernoulli_log_unnorm_marginal,
+    log_marginal_from_response,
     log_unnorm_marginal,
     region_precision,
 )
 from .projection import is_globally_safe
-from .sampler import _as_rng, gaussian_base_params, gibbs_step, sample_gaussian_base
+from .sampler import _as_rng, _require_leaky, _sweep, gaussian_base_params, sample_gaussian_base
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -66,6 +68,9 @@ class AnnealingPath:
         # a constant grid is the degenerate base-equals-target path
         if not (np.all(diffs < 0) or np.all(diffs > 0) or np.all(diffs == 0)):
             raise ValueError("path grid must be strictly monotone")
+        low = grid > 0.0 if self.kind is PathKind.LEAKY else grid >= 0.0
+        if not np.all(low & (grid <= 1.0)):
+            raise ValueError("path levels must lie in [0, 1], leakiness levels in (0, 1]")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -96,37 +101,33 @@ class LogZEstimate:
     n_dropped: int = 0
 
 
-def level_params(params: RbmParams, kind: PathKind, level: float) -> RbmParams:
-    """Model whose marginal is the intermediate distribution at ``level``.
+def _levels(params: RbmParams, kind: PathKind, grid):
+    """(W, b, c) of the intermediate model at each level of ``grid``.
 
     Energy path: geometric interpolation at the joint level is equivalent
     to scaling W and b by sqrt(1 - beta) for leaky units (the response
     enters the integrated-out marginal quadratically) and by (1 - beta)
-    for Bernoulli units (it enters linearly).  Leaky and one-sided paths
-    swap the leakiness only.
+    for Bernoulli units (it enters linearly), whose c is None.  The leaky
+    path sets c to the level, the one-sided path to beta + (1 - beta) c.
     """
+    W, b = params.weights, params.hidden_bias
+    c = None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
+    grid = np.asarray(grid, dtype=np.float64)
     if kind is PathKind.ENERGY:
-        s = 1.0 - float(level)
-        scale = math.sqrt(s) if params.hidden_kind is HiddenKind.LEAKY_RELU else s
-        return params.with_(
-            weights=params.weights * scale, hidden_bias=params.hidden_bias * scale
-        )
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("leakiness annealing requires leaky hidden units")
-    if kind is PathKind.LEAKY:
-        return params.with_(leakiness=float(level))
+        scales = 1.0 - grid if c is None else np.sqrt(1.0 - grid)
+        return ((W * s, b * s, c) for s in scales.tolist())
+    _require_leaky(params)
     if kind is PathKind.ONE_SIDED:
-        beta = float(level)
-        return params.with_(leakiness=beta + (1.0 - beta) * params.leakiness)
-    raise ValueError(f"unknown path kind {kind}")
+        grid = grid + (1.0 - grid) * c
+    return ((W, b, c_k) for c_k in grid.tolist())
 
 
 def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v):
     """Log unnormalized density of the intermediate distribution."""
-    lp = level_params(params, kind, level)
-    if params.hidden_kind is HiddenKind.BERNOULLI:
-        return bernoulli_log_unnorm_marginal(lp, v)
-    return log_unnorm_marginal(lp, v)
+    ((W, b, c),) = _levels(params, kind, [level])
+    v = _check_visible(params, v)
+    quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
+    return log_marginal_from_response(v @ W + b, quad, c)
 
 
 def gaussian_log_z(params: RbmParams) -> float:
@@ -372,21 +373,33 @@ def ais_estimate(
 
     Particles start at the path's base distribution; at each level the
     log-weight increment is accumulated before running one Gibbs sweep
-    targeting that level.  All reductions stay in the log domain.
+    targeting that level.  All reductions stay in the log domain.  Raises
+    ValueError unless the path ends at ``params``: at its leakiness for
+    the leaky path, at beta = 0 for the others.
     """
     rng = _as_rng(rng)
     safe, min_eig = is_globally_safe(params.weights)
     if not safe:
         raise NonPDRegionError(min_eig, "AIS requires I - WW^T >= 0")
     kind = path.kind
+    target = params.leakiness if kind is PathKind.LEAKY else 0.0
+    if path.grid[-1] != target:
+        raise ValueError(f"{kind.value} path ends at {path.grid[-1]:g}, not at {target:g}")
+    levels = _levels(params, kind, path.grid[1:])
     v, base_density, log_z0 = _base_sample_and_density(params, kind, n_particles, rng)
+    a = params.visible_bias
     log_w = np.zeros(n_particles)
     prev_density = base_density(v)
-    for level in path.grid[1:]:
-        cur = intermediate_log_density(params, kind, float(level), v)
-        log_w += cur - prev_density
-        v, _h = gibbs_step(level_params(params, kind, float(level)), v, rng)
-        prev_density = intermediate_log_density(params, kind, float(level), v)
+    quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
+    eta = None
+    for W, b, c in levels:
+        if eta is None or kind is PathKind.ENERGY:  # energy levels scale W and b
+            eta = v @ W + b
+        log_w += log_marginal_from_response(eta, quad, c) - prev_density
+        v, _h = _sweep(eta, W, a, c, rng)
+        quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
+        eta = v @ W + b
+        prev_density = log_marginal_from_response(eta, quad, c)
 
     finite = np.isfinite(log_w)
     n_dropped = int(n_particles - finite.sum())

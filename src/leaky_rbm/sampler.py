@@ -8,12 +8,11 @@ every sampler deterministic given its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, NonPDRegionError
-from .model import HiddenKind, RbmParams, bernoulli_hidden_conditional, hidden_conditional
+from .model import HiddenKind, RbmParams, branch_slopes, sigmoid
 from .projection import safety_from_max_singular_value
 
 # Shrink applied to W when its top singular value is within this margin of
@@ -128,16 +127,10 @@ def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
     return mean + x
 
 
-def gibbs_step(
-    params: RbmParams,
-    v: np.ndarray,
-    rng,
-    leakiness: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """One full sweep: sample h | v, then v | h, for a batch of chains.
 
-    Returns (v', h').  ``leakiness`` overrides the model's c for this
-    sweep (the annealing samplers use this).
+    Returns (v', h').
     """
     rng = _as_rng(rng)
     v = np.asarray(v, dtype=np.float64)
@@ -145,39 +138,43 @@ def gibbs_step(
         v = v[None, :]
     if v.shape[1] != params.n_visible:
         raise DimensionError("chain state dimension does not match model")
-    if params.hidden_kind is HiddenKind.BERNOULLI:
-        p = bernoulli_hidden_conditional(params, v)
-        h = (rng.random(p.shape) < p).astype(np.float64)
+    c = None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
+    eta = v @ params.weights + params.hidden_bias
+    return _sweep(eta, params.weights, params.visible_bias, c, rng)
+
+
+def _sweep(eta, W, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The Gibbs sweep on raw arrays, from the responses eta = v W + b.
+
+    Draws h | v for leaky units of leakiness c, or Bernoulli units when c
+    is None, then v | h ~ N(a + W h, I).  Returns (v', h).
+    """
+    if c is None:
+        h = (rng.random(eta.shape) < sigmoid(eta)).astype(np.float64)
     else:
-        sweep_params = params if leakiness is None else params.with_(leakiness=leakiness)
-        mean, var = hidden_conditional(sweep_params, v)
-        h = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
-    v_mean = h @ params.weights.T + params.visible_bias
-    v_new = v_mean + rng.standard_normal(v_mean.shape)
-    return v_new, h
+        alpha = branch_slopes(eta, c)
+        h = alpha * eta + np.sqrt(alpha) * rng.standard_normal(eta.shape)
+    v_mean = h @ W.T + a
+    return v_mean + rng.standard_normal(v_mean.shape), h
 
 
-StepCallback = Callable[[int, float, np.ndarray], None]
+def _require_leaky(params: RbmParams) -> None:
+    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
+        raise ValueError("leakiness annealing requires leaky hidden units")
 
 
 def anneal_leakiness_sample(
-    params: RbmParams,
-    schedule: AnnealSchedule,
-    n_chains: int,
-    rng,
-    callback: StepCallback | None = None,
+    params: RbmParams, schedule: AnnealSchedule, n_chains: int, rng
 ) -> ChainSet:
     """Sample by annealing leakiness from 1 down to the target.
 
     Chains start at exact draws from the c = 1 Gaussian; each step lowers
-    the leakiness per the schedule and runs one Gibbs sweep.  The callback
-    (step index, leakiness about to be used, current v) fires before each
-    sweep, which is where importance-weight accumulation hooks in.
+    the leakiness per the schedule and runs one Gibbs sweep.  Raises
+    ValueError for Bernoulli hidden units, which have no leakiness.
     """
+    _require_leaky(params)
     rng = _as_rng(rng)
-    v = sample_gaussian_base(params, n_chains, rng)
-    h = np.zeros((n_chains, params.n_hidden))
-    return _run_annealed(params, schedule, v, h, rng, callback)
+    return _run_annealed(params, schedule, sample_gaussian_base(params, n_chains, rng), rng)
 
 
 def mix_sample(
@@ -190,8 +187,10 @@ def mix_sample(
     """Annealed sampling with chains initialized at empirical data rows.
 
     Skips the Gaussian factorization entirely; rows are drawn uniformly
-    with replacement when n_chains differs from the batch size.
+    with replacement when n_chains differs from the batch size.  Raises
+    ValueError for Bernoulli hidden units, which have no leakiness.
     """
+    _require_leaky(params)
     rng = _as_rng(rng)
     data_batch = np.asarray(data_batch, dtype=np.float64)
     if data_batch.ndim != 2 or data_batch.shape[0] == 0:
@@ -203,13 +202,12 @@ def mix_sample(
     else:
         idx = rng.integers(data_batch.shape[0], size=n_chains)
         v = data_batch[idx]
+    return _run_annealed(params, schedule, v, rng)
+
+
+def _run_annealed(params, schedule, v, rng) -> ChainSet:
+    W, a, b = params.weights, params.visible_bias, params.hidden_bias
     h = np.zeros((v.shape[0], params.n_hidden))
-    return _run_annealed(params, schedule, v, h, rng, None)
-
-
-def _run_annealed(params, schedule, v, h, rng, callback) -> ChainSet:
-    for t, c_t in enumerate(schedule.leakiness_sequence()):
-        if callback is not None:
-            callback(t, float(c_t), v)
-        v, h = gibbs_step(params, v, rng, leakiness=float(c_t))
+    for c_t in schedule.leakiness_sequence().tolist():
+        v, h = _sweep(v @ W + b, W, a, c_t, rng)
     return ChainSet(v=v, h=h)

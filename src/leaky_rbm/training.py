@@ -132,28 +132,22 @@ def negative_phase(
 ) -> GradientEstimate:
     """Model-side expectations from the configured chain scheme."""
     rng = _as_rng(rng)
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if config.neg_sampler is NegSampler.CD:
-        v = batch.copy()
         for _ in range(config.cd_steps):
             v, _h = gibbs_step(params, v, rng)
-        final_v = v
     elif config.neg_sampler is NegSampler.LEAKY_ANNEAL:
-        schedule = _schedule_for(params, config)
-        final_v = anneal_leakiness_sample(params, schedule, batch.shape[0], rng).v
+        v = anneal_leakiness_sample(params, _schedule_for(params, config), len(v), rng).v
     elif config.neg_sampler is NegSampler.MIX:
-        schedule = _schedule_for(params, config)
-        final_v = mix_sample(params, batch, schedule, rng).v
+        v = mix_sample(params, v, _schedule_for(params, config), rng).v
     else:
         raise ValueError(f"unknown negative sampler {config.neg_sampler}")
-    return _phase_from_states(params, final_v)
+    return _phase_from_states(params, v)
 
 
 def _schedule_for(params: RbmParams, config: TrainConfig) -> AnnealSchedule:
     if config.anneal is not None:
         return config.anneal
-    if params.hidden_kind is HiddenKind.BERNOULLI:
-        raise ValueError("annealed negative phases require leaky hidden units")
     return AnnealSchedule(c_target=params.leakiness, total_steps=config.cd_steps)
 
 

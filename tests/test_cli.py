@@ -257,6 +257,7 @@ class TestMalformedOptions:
                 (None, ["train", "--data", "{data}", "--kind", "bernoulli",
                         "--neg-sampler", "leaky-anneal"]),
                 (None, ["estimate-z", "--model", "{bernoulli}", "--path", "leaky"]),
+                (None, ["sample", "--model", "{bernoulli}", "--steps", "0"]),
             ]
         ],
     )

@@ -18,14 +18,18 @@ from leaky_rbm import (
     project_spectral,
     quadrature_log_z,
 )
-from leaky_rbm.experiments import mixing_task_data, train_mixing_method
+from leaky_rbm.experiments import (
+    mixing_task_data,
+    random_orthogonal_params,
+    train_mixing_method,
+)
 from leaky_rbm.model import bernoulli_log_unnorm_marginal, log_unnorm_marginal
 from leaky_rbm.partition import (
     PathKind,
     _base_sample_and_density,
     intermediate_log_density,
 )
-from leaky_rbm.sampler import make_rng, sample_gaussian_base
+from leaky_rbm.sampler import gibbs_step, make_rng, sample_gaussian_base
 from leaky_rbm.training import NegSampler
 
 from conftest import random_orthogonal, random_safe_params
@@ -228,6 +232,15 @@ class TestAnnealingPath:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             AnnealingPath.leaky(0.5, 0)
+        # levels that name no intermediate model
+        for kind, grid in [
+            (PathKind.LEAKY, [1.0, 0.5, 0.0]),
+            (PathKind.LEAKY, [1.5, 1.2, 0.5]),
+            (PathKind.ENERGY, [1.0, 0.5, -0.5]),
+            (PathKind.ONE_SIDED, [1.5, 0.5, 0.0]),
+        ]:
+            with pytest.raises(ValueError, match="must lie in"):
+                AnnealingPath(kind, grid)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leaky_base_is_the_samplers_once_shrunk_model(self, seed):
@@ -305,6 +318,102 @@ class TestAisEstimate:
         b = ais_estimate(p, path, 50, make_rng(5))
         assert a.log_z == b.log_z
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
+
+
+def _path(kind, p, n_levels):
+    """The path of ``kind`` with ``n_levels`` levels that ends at ``p``."""
+    if kind is PathKind.LEAKY:
+        return AnnealingPath.leaky(p.leakiness, n_levels)
+    if kind is PathKind.ENERGY:
+        return AnnealingPath.energy(n_levels)
+    return AnnealingPath.one_sided(n_levels)
+
+
+def _reference_log_weights(p, path, n_particles, seed):
+    """AIS log weights from a loop over models rebuilt at every level."""
+    def level_model(level):
+        if path.kind is PathKind.ENERGY:
+            s = 1.0 - float(level)
+            scale = s if p.hidden_kind is HiddenKind.BERNOULLI else math.sqrt(s)
+            return p.with_(weights=p.weights * scale, hidden_bias=p.hidden_bias * scale)
+        if path.kind is PathKind.LEAKY:
+            return p.with_(leakiness=float(level))
+        return p.with_(leakiness=float(level) + (1.0 - float(level)) * p.leakiness)
+
+    score = (bernoulli_log_unnorm_marginal if p.hidden_kind is HiddenKind.BERNOULLI
+             else log_unnorm_marginal)
+    rng = make_rng(seed)
+    v, base_density, _ = _base_sample_and_density(p, path.kind, n_particles, rng)
+    log_w = np.zeros(n_particles)
+    prev = base_density(v)
+    for level in path.grid[1:]:
+        q = level_model(level)
+        log_w += score(q, v) - prev
+        v, _h = gibbs_step(q, v, rng)
+        prev = score(q, v)
+    return log_w
+
+
+class TestAisKernel:
+    """ais_estimate runs the level loop on raw arrays, bit for bit."""
+
+    @pytest.fixture
+    def leaky(self, rng):
+        p = random_safe_params(rng, 5, 3, leakiness=0.1, max_norm=0.9)
+        return p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_leaky_log_weights_match_reference_loop(self, leaky, kind):
+        path = _path(kind, leaky, 30)
+        est = ais_estimate(leaky, path, 40, make_rng(12))
+        assert est.n_dropped == 0
+        np.testing.assert_array_equal(
+            est.log_weights, _reference_log_weights(leaky, path, 40, 12)
+        )
+
+    def test_bernoulli_log_weights_match_reference_loop(self, rng):
+        W = random_safe_params(rng, 4, 3, max_norm=0.8).weights
+        p = RbmParams.create(W, hidden_bias=rng.uniform(-1.0, 1.0, 3),
+                             visible_bias=rng.uniform(-1.0, 1.0, 4),
+                             hidden_kind=HiddenKind.BERNOULLI)
+        path = AnnealingPath.energy(30)
+        est = ais_estimate(p, path, 40, make_rng(13))
+        np.testing.assert_array_equal(
+            est.log_weights, _reference_log_weights(p, path, 40, 13)
+        )
+
+    def test_models_built_do_not_grow_with_levels(self, leaky, monkeypatch):
+        built = []
+        post_init = RbmParams.__post_init__
+
+        def counting(obj):
+            built.append(obj)
+            post_init(obj)
+
+        monkeypatch.setattr(RbmParams, "__post_init__", counting)
+        counts = {}
+        for kind in PathKind:
+            for n_levels in (10, 100):
+                built.clear()
+                ais_estimate(leaky, _path(kind, leaky, n_levels), 8, make_rng(14))
+                counts[kind, n_levels] = len(built)
+            assert counts[kind, 10] == counts[kind, 100], counts
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            AnnealingPath.leaky(0.5, 20),
+            AnnealingPath(PathKind.ENERGY, np.linspace(1.0, 0.5, 21)),
+            AnnealingPath(PathKind.ONE_SIDED, np.linspace(1.0, 0.5, 21)),
+        ],
+        ids=lambda path: path.kind.value,
+    )
+    def test_path_must_end_at_the_model(self, path):
+        # unchecked, the leaky path estimates the c = 0.5 model (log Z 6.387)
+        # and the energy path returns about 4.03; this model's log Z is 6.283
+        p = random_orthogonal_params(4, 2, 0.01, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="path ends at 0.5"):
+            ais_estimate(p, path, 16, make_rng(0))
 
 
 class TestOrthogonalBiasPattern:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaky_rbm import LeakyRbmError, is_globally_safe, project_spectral
+from leaky_rbm import LeakyRbmError, RbmParams, is_globally_safe, project_spectral
+from leaky_rbm.projection import max_singular_value
 from leaky_rbm.sampler import make_rng
 
 
@@ -81,6 +82,10 @@ class TestAgainstSvd:
         assert report.clipped_count == int(np.count_nonzero(s > 1.0)) > 0
         np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
         assert report.max_singular_value_after == 1.0
+        # the sigma_max every other caller reads, without an SVD
+        np.testing.assert_allclose(max_singular_value(W), s[0], rtol=1e-12)
+        assert RbmParams.create(W).max_singular_value() == max_singular_value(W)
+        np.testing.assert_allclose(is_globally_safe(W)[1], 1.0 - s[0] ** 2, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (20, 20)])
     def test_feasible_matrix_is_bitwise_unchanged(self, shape):
@@ -103,6 +108,7 @@ class TestAgainstSvd:
         assert np.isfinite(W_proj).all()
         assert is_globally_safe(W_proj)[0]
         np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
+        np.testing.assert_allclose(max_singular_value(W), s[0], rtol=1e-12)
         assert report.clipped_count == int(np.count_nonzero(s > 1.0))
 
 

@@ -5,6 +5,7 @@ from scipy import stats
 
 from leaky_rbm import (
     AnnealSchedule,
+    HiddenKind,
     NonPDRegionError,
     RbmParams,
     anneal_leakiness_sample,
@@ -149,16 +150,6 @@ class TestAnnealLeakinessSample:
         )
         np.testing.assert_allclose(np.cov(chains.v.T), np.cov(base.T), atol=0.3)
 
-    def test_callback_sees_schedule(self, rng):
-        p = random_safe_params(rng, 2, 1, leakiness=0.5)
-        sched = AnnealSchedule(c_target=0.5, total_steps=6, epsilon=0.1)
-        seen = []
-        anneal_leakiness_sample(
-            p, sched, 3, make_rng(2), callback=lambda t, c, v: seen.append((t, c))
-        )
-        assert [c for _, c in seen] == pytest.approx([0.9, 0.8, 0.7, 0.6, 0.5, 0.5])
-        assert [t for t, _ in seen] == list(range(6))
-
     def test_determinism(self, rng):
         p = random_safe_params(rng, 2, 2, leakiness=0.2)
         sched = AnnealSchedule(c_target=0.2, total_steps=15)
@@ -241,3 +232,46 @@ class TestMixSample:
         # permutation p-value at alpha = 0.01
         pval = (1 + sum(s >= observed for s in null)) / 100.0
         assert pval > 0.01
+
+
+class TestAnnealedSweeps:
+    """The annealed samplers run one gibbs_step per leakiness of the schedule."""
+
+    @pytest.fixture
+    def model(self, rng):
+        p = random_safe_params(rng, 5, 3, leakiness=0.1)
+        return p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
+
+    @staticmethod
+    def _reference(p, schedule, v, g):
+        h = np.zeros((v.shape[0], p.n_hidden))
+        for c_t in schedule.leakiness_sequence():
+            v, h = gibbs_step(p.with_(leakiness=c_t), v, g)
+        return v, h
+
+    def test_anneal_leakiness_sample_equals_gibbs_step_loop(self, model):
+        sched = AnnealSchedule(c_target=0.1, total_steps=12)
+        chains = anneal_leakiness_sample(model, sched, 7, make_rng(3))
+        g = make_rng(3)
+        v, h = self._reference(model, sched, sample_gaussian_base(model, 7, g), g)
+        np.testing.assert_array_equal(chains.v, v)
+        np.testing.assert_array_equal(chains.h, h)
+
+    @pytest.mark.parametrize("n_chains", [None, 9])
+    def test_mix_sample_equals_gibbs_step_loop(self, model, rng, n_chains):
+        batch = rng.standard_normal((6, 5))
+        sched = AnnealSchedule(c_target=0.1, total_steps=12)
+        chains = mix_sample(model, batch, sched, make_rng(4), n_chains=n_chains)
+        g = make_rng(4)
+        v0 = batch if n_chains is None else batch[g.integers(6, size=n_chains)]
+        v, h = self._reference(model, sched, v0, g)
+        np.testing.assert_array_equal(chains.v, v)
+        np.testing.assert_array_equal(chains.h, h)
+
+    def test_bernoulli_units_are_rejected(self):
+        p = RbmParams.create(np.full((2, 2), 0.3), hidden_kind=HiddenKind.BERNOULLI)
+        sched = AnnealSchedule(c_target=1.0, total_steps=3)
+        with pytest.raises(ValueError, match="leaky hidden units"):
+            anneal_leakiness_sample(p, sched, 4, make_rng(0))
+        with pytest.raises(ValueError, match="leaky hidden units"):
+            mix_sample(p, np.zeros((4, 2)), sched, make_rng(0))
