@@ -198,7 +198,7 @@ def train(
             if not (np.isfinite(new_W).all() and np.isfinite(new_b).all()):
                 raise TrainingDivergedError(epoch, bi)
             if config.projection_enabled:
-                new_W, _report = project_spectral(new_W)
+                new_W = project_spectral(new_W)[0]
             params = params.with_(weights=new_W, hidden_bias=new_b)
         recon = reconstruction_error(params, data)
         record = EpochRecord(epoch=epoch, recon_error=recon)

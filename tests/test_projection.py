@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leaky_rbm.projection as projection
 from leaky_rbm import LeakyRbmError, RbmParams, is_globally_safe, project_spectral
 from leaky_rbm.projection import max_singular_value
 from leaky_rbm.sampler import make_rng
@@ -110,6 +111,78 @@ class TestAgainstSvd:
         np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
         np.testing.assert_allclose(max_singular_value(W), s[0], rtol=1e-12)
         assert report.clipped_count == int(np.count_nonzero(s > 1.0))
+
+
+def _with_singular_values(shape, s, seed):
+    rng = make_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (U * s) @ V.T
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The scipy.linalg.eigh calls the projection module makes."""
+    calls = []
+    eigh = projection.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(projection.linalg, "eigh", counting)
+    return calls
+
+
+class TestCertificate:
+    """A Cholesky certifies feasible matrices; clipping takes one eigensolve."""
+
+    @pytest.mark.parametrize("smax, eigensolves", [(0.9, 0), (1.5, 1)])
+    def test_eigensolves_per_call(self, eigh_calls, smax, eigensolves):
+        s = np.linspace(smax, 0.05, 80)
+        W = _with_singular_values((120, 80), s, 9)
+        W_proj, report = project_spectral(W)
+        assert len(eigh_calls) == eigensolves
+        assert report.clipped_count == int(np.count_nonzero(s > 1.0))
+        if smax < 1.0:
+            assert W_proj.tobytes() == W.tobytes()
+        # a certified call computes sigma_max when it is first read
+        np.testing.assert_allclose(
+            report.max_singular_value_before,
+            np.linalg.svd(W, compute_uv=False)[0], rtol=1e-12,
+        )
+        assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    @pytest.mark.parametrize("offset", ["-10delta", "-delta/2", "0", "+1e-13", "+0.5"])
+    def test_boundary_family(self, eigh_calls, shape, offset):
+        n = min(shape)
+        delta = (n + 1) ** 2 * np.finfo(np.float64).eps
+        target = {
+            "-10delta": 1.0 - 10.0 * delta, "-delta/2": 1.0 - delta / 2.0,
+            "0": 1.0, "+1e-13": 1.0 + 1e-13, "+0.5": 1.5,
+        }[offset]
+        W = _with_singular_values(shape, np.linspace(target, 0.1, n), 10)
+        s = np.linalg.svd(W, compute_uv=False)
+        W_proj, report = project_spectral(W)
+        assert np.abs(W_proj - _svd_projection(W)).max() <= 1e-12
+        if s[0] <= 1.0 - delta:
+            assert len(eigh_calls) == 0
+            assert W_proj.tobytes() == W.tobytes()
+            assert report.clipped_count == 0
+        if s[0] > 1.0:
+            assert report.clipped_count == int(np.count_nonzero(s > 1.0))
+        np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
+        assert report.max_singular_value_after == min(report.max_singular_value_before, 1.0)
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+    def test_report_keeps_no_view_of_the_input(self, shape):
+        W = _with_singular_values(shape, np.linspace(0.9, 0.1, 25), 11)
+        smax = np.linalg.svd(W, compute_uv=False)[0]
+        _, report = project_spectral(W)
+        W *= 2.0
+        np.testing.assert_allclose(report.max_singular_value_before, smax, rtol=1e-12)
+        assert report.max_singular_value_after == report.max_singular_value_before
 
 
 class TestIsGloballySafe:
