@@ -138,9 +138,13 @@ def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.nd
         v = v[None, :]
     if v.shape[1] != params.n_visible:
         raise DimensionError("chain state dimension does not match model")
-    c = None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
     eta = v @ params.weights + params.hidden_bias
-    return _sweep(eta, params.weights, params.visible_bias, c, rng)
+    return _sweep(eta, params.weights, params.visible_bias, _unit_leakiness(params), rng)
+
+
+def _unit_leakiness(params: RbmParams) -> float | None:
+    """The c that ``_sweep`` takes: the leakiness, or None for Bernoulli units."""
+    return None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
 
 
 def _sweep(eta, W, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +178,8 @@ def anneal_leakiness_sample(
     """
     _require_leaky(params)
     rng = _as_rng(rng)
-    return _run_annealed(params, schedule, sample_gaussian_base(params, n_chains, rng), rng)
+    v = sample_gaussian_base(params, n_chains, rng)
+    return _run_annealed(params.weights, params.visible_bias, params.hidden_bias, schedule, v, rng)
 
 
 def mix_sample(
@@ -202,12 +207,12 @@ def mix_sample(
     else:
         idx = rng.integers(data_batch.shape[0], size=n_chains)
         v = data_batch[idx]
-    return _run_annealed(params, schedule, v, rng)
+    return _run_annealed(params.weights, params.visible_bias, params.hidden_bias, schedule, v, rng)
 
 
-def _run_annealed(params, schedule, v, rng) -> ChainSet:
-    W, a, b = params.weights, params.visible_bias, params.hidden_bias
-    h = np.zeros((v.shape[0], params.n_hidden))
+def _run_annealed(W, a, b, schedule, v, rng) -> ChainSet:
+    """Leaky Gibbs sweeps from v, one per leakiness of the schedule; v is not written."""
+    h = np.zeros((v.shape[0], W.shape[1]))
     for c_t in schedule.leakiness_sequence().tolist():
         v, h = _sweep(v @ W + b, W, a, c_t, rng)
     return ChainSet(v=v, h=h)

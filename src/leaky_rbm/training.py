@@ -6,6 +6,16 @@ the negative phase approximates the model expectation with one of three
 chain initializations (CD from data, leakiness annealing from the exact
 Gaussian, or the mix variant annealing from data).  W is projected back
 onto the feasible set after every update unless disabled.
+
+``train`` validates its data once and then runs each minibatch on raw
+arrays, with one response pass: the batch's responses eta = v W + b feed
+both the positive statistics and CD's first Gibbs sweep.  Both dW
+products go into preallocated buffers, and the gradient, velocity and
+weights are updated in place, in the order of the textbook formulas, so
+the result is bit for bit that of the public phases below.  The new
+parameters are checked for finiteness once per minibatch, before the
+projection.  ``positive_phase`` and ``negative_phase`` run the same
+helpers, with every sampler.
 """
 from __future__ import annotations
 
@@ -16,16 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
-from .model import (
-    HiddenKind,
-    RbmParams,
-    bernoulli_hidden_conditional,
-    hidden_conditional,
-    visible_conditional,
+from .errors import DimensionError, TrainingDivergedError
+from .model import RbmParams, branch_slopes, response, sigmoid
+from .projection import _clip
+from .sampler import (
+    AnnealSchedule,
+    _as_rng,
+    _run_annealed,
+    _sweep,
+    _unit_leakiness,
+    sample_gaussian_base,
 )
-from .projection import project_spectral
-from .sampler import AnnealSchedule, _as_rng, gibbs_step, mix_sample, anneal_leakiness_sample
 
 
 class NegSampler(enum.Enum):
@@ -62,6 +73,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not isinstance(self.neg_sampler, NegSampler):
+            raise ValueError(f"unknown negative sampler {self.neg_sampler!r}")
 
     def config_hash(self) -> int:
         """Stable 64-bit hash of the configuration, stored in model files."""
@@ -100,31 +113,53 @@ class TrainingLog:
     epochs: list[EpochRecord] = field(default_factory=list)
 
 
+def _check_data(params: RbmParams, data) -> np.ndarray:
+    """``data`` as a float64 (n, I) array with n >= 1 rows of the model's width."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if data.ndim != 2 or data.shape[1] != params.n_visible:
+        raise DimensionError(
+            f"data has shape {data.shape}, model expects rows of {params.n_visible}"
+        )
+    if data.shape[0] == 0:
+        raise ValueError("data must have at least one row")
+    return data
+
+
+def _hidden_mean(eta: np.ndarray, c: float | None, out=None) -> np.ndarray:
+    """E[h | v] from the responses eta = v W + b.
+
+    Leaky units of leakiness c, or Bernoulli units when c is None.  The
+    leaky mean is written into ``out`` when given, which may be eta.
+    """
+    if c is None:
+        return sigmoid(eta)
+    return np.multiply(branch_slopes(eta, c), eta, out=out)
+
+
 def expected_hidden(params: RbmParams, v) -> np.ndarray:
     """Conditional mean of the hidden units given v, for either kind."""
-    if params.hidden_kind is HiddenKind.BERNOULLI:
-        return bernoulli_hidden_conditional(params, v)
-    mean, _var = hidden_conditional(params, v)
-    return mean
+    return _hidden_mean(response(params, v), _unit_leakiness(params))
 
 
-def _phase_from_states(params: RbmParams, v: np.ndarray) -> GradientEstimate:
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    h_mean = expected_hidden(params, v)
-    n = v.shape[0]
-    return GradientEstimate(
-        dW=v.T @ h_mean / n,
-        da=v.mean(axis=0),
-        db=h_mean.mean(axis=0),
-    )
+def _statistics(v: np.ndarray, h_mean: np.ndarray, out=None):
+    """(v^T h_mean / n, column means of h_mean): a phase's dW and db.
+
+    dW is written into ``out`` when given.
+    """
+    dW = np.matmul(v.T, h_mean, out=out)
+    dW /= v.shape[0]
+    return dW, h_mean.mean(axis=0)
+
+
+def _estimate(v: np.ndarray, h_mean: np.ndarray) -> GradientEstimate:
+    dW, db = _statistics(v, h_mean)
+    return GradientEstimate(dW=dW, da=v.mean(axis=0), db=db)
 
 
 def positive_phase(params: RbmParams, batch) -> GradientEstimate:
     """Data-side expectations, Rao-Blackwellized over the hidden units."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    return _phase_from_states(params, batch)
+    batch = _check_data(params, batch)
+    return _estimate(batch, expected_hidden(params, batch))
 
 
 def negative_phase(
@@ -132,35 +167,56 @@ def negative_phase(
 ) -> GradientEstimate:
     """Model-side expectations from the configured chain scheme."""
     rng = _as_rng(rng)
-    v = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    batch = _check_data(params, batch)
+    W, a, b = params.weights, params.visible_bias, params.hidden_bias
+    eta = batch @ W + b if config.neg_sampler is NegSampler.CD else None
+    v = _chain_ends(W, a, b, _unit_leakiness(params), batch, eta, config, rng)
+    return _estimate(v, expected_hidden(params, v))
+
+
+def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
+    """Final states of the negative-phase chains for a batch of data.
+
+    c is the leakiness, None for Bernoulli units.  CD starts at the batch
+    and its first sweep takes the batch's responses ``eta`` = batch W + b,
+    which the annealed schemes do not read.
+    """
     if config.neg_sampler is NegSampler.CD:
-        for _ in range(config.cd_steps):
-            v, _h = gibbs_step(params, v, rng)
-    elif config.neg_sampler is NegSampler.LEAKY_ANNEAL:
-        v = anneal_leakiness_sample(params, _schedule_for(params, config), len(v), rng).v
-    elif config.neg_sampler is NegSampler.MIX:
-        v = mix_sample(params, v, _schedule_for(params, config), rng).v
-    else:
-        raise ValueError(f"unknown negative sampler {config.neg_sampler}")
-    return _phase_from_states(params, v)
-
-
-def _schedule_for(params: RbmParams, config: TrainConfig) -> AnnealSchedule:
-    if config.anneal is not None:
-        return config.anneal
-    return AnnealSchedule(c_target=params.leakiness, total_steps=config.cd_steps)
+        v, _h = _sweep(eta, W, a, c, rng)
+        for _ in range(config.cd_steps - 1):
+            v, _h = _sweep(v @ W + b, W, a, c, rng)
+        return v
+    if c is None:
+        raise ValueError("leakiness annealing requires leaky hidden units")
+    schedule = config.anneal
+    if schedule is None:
+        schedule = AnnealSchedule(c_target=c, total_steps=config.cd_steps)
+    v = batch
+    if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
+        v = sample_gaussian_base(RbmParams(W, a, b, c), len(batch), rng)
+    return _run_annealed(W, a, b, schedule, v, rng).v
 
 
 def reconstruction_error(params: RbmParams, batch) -> float:
     """Mean squared error of the one-step conditional-mean reconstruction.
 
     Logged for monitoring only; not a likelihood surrogate.  Summed over
-    blocks of 1024 rows, so its temporaries stay small on large data.
+    blocks of 1024 rows, so its temporaries stay small on large data, and
+    each block reuses its two temporaries.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    blocks = np.split(batch, range(1024, len(batch), 1024))
-    recon = lambda x: visible_conditional(params, expected_hidden(params, x))
-    return float(sum(np.sum((x - recon(x)) ** 2) for x in blocks) / batch.size)
+    batch = _check_data(params, batch)
+    W, a, b = params.weights, params.visible_bias, params.hidden_bias
+    c = _unit_leakiness(params)
+    total = 0.0
+    for x in np.split(batch, range(1024, len(batch), 1024)):
+        h = x @ W
+        h += b
+        h = _hidden_mean(h, c, out=h)
+        r = h @ W.T  # the reconstruction a + W h, then x minus it, squared
+        r += a
+        np.subtract(x, r, out=r)
+        total += np.sum(np.square(r, out=r))
+    return float(total / batch.size)
 
 
 def train(
@@ -173,33 +229,47 @@ def train(
 
     ``loglik_fn(params)``, when given, is evaluated once per epoch and
     stored in the log (only sensible for small models with an exact
-    oracle).  Raises TrainingDivergedError if parameters go non-finite,
-    which is the expected failure of unprojected training.
+    oracle).  Raises DimensionError for data of the wrong width,
+    ValueError for data with no rows, and TrainingDivergedError if
+    parameters go non-finite, which is the expected failure of
+    unprojected training.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = _check_data(params0, data)
     rng = _as_rng(config.seed)
     params = params0
-    vel_W = np.zeros_like(params.weights)
-    vel_b = np.zeros_like(params.hidden_bias)
+    W = np.array(params0.weights)  # the weights, updated in place
+    a, b, c = params0.visible_bias, params0.hidden_bias, _unit_leakiness(params0)
+    vel_W = np.zeros_like(W)
+    vel_b = np.zeros_like(b)
+    g_W, neg_dW = np.empty_like(W), np.empty_like(W)
     log = TrainingLog()
     n = data.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = data[order[start : start + config.batch_size]]
-            pos = positive_phase(params, batch)
-            neg = negative_phase(params, batch, config, rng)
-            g_W = pos.dW - neg.dW - config.weight_decay * params.weights
-            g_b = pos.db - neg.db
-            vel_W = config.momentum * vel_W + config.learning_rate * g_W
-            vel_b = config.momentum * vel_b + config.learning_rate * g_b
-            new_W = params.weights + vel_W
-            new_b = params.hidden_bias + vel_b
-            if not (np.isfinite(new_W).all() and np.isfinite(new_b).all()):
+            eta = batch @ W
+            eta += b
+            _, pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)
+            v = _chain_ends(W, a, b, c, batch, eta, config, rng)
+            eta = v @ W
+            eta += b
+            _, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)
+            # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
+            # W = W + vel
+            g_W -= neg_dW
+            g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
+            vel_W *= config.momentum
+            g_W *= config.learning_rate
+            vel_W += g_W
+            vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
+            W += vel_W
+            b = b + vel_b
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise TrainingDivergedError(epoch, bi)
             if config.projection_enabled:
-                new_W = project_spectral(new_W)[0]
-            params = params.with_(weights=new_W, hidden_bias=new_b)
+                W = _clip(W)[0]
+        params = params0.with_(weights=W, hidden_bias=b)
         recon = reconstruction_error(params, data)
         record = EpochRecord(epoch=epoch, recon_error=recon)
         if loglik_fn is not None:

@@ -2,6 +2,10 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,23 @@ def test_leaky_anneal_trains_from_an_infeasible_initial_draw(tmp_path, rng):
     assert rc == 0
     model, _ = load_model(tmp_path / "model.rbm")
     assert model.is_safe()
+
+
+def test_import_loads_no_oracle_modules():
+    # only the quadrature oracle, AIS and the enumeration oracle use them,
+    # so importing the CLI must not pay for scipy.integrate (and the
+    # scipy.optimize it pulls in) or scipy.special
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, leaky_rbm.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 _FUZZ = settings(derandomize=True, deadline=None, max_examples=150)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from leaky_rbm import (
     AnnealSchedule,
+    DimensionError,
     HiddenKind,
     NegSampler,
     RbmParams,
@@ -12,9 +15,10 @@ from leaky_rbm import (
 )
 from leaky_rbm.model import log_unnorm_marginal, visible_conditional
 from leaky_rbm.partition import quadrature_log_z
-from leaky_rbm.projection import is_globally_safe
+from leaky_rbm.projection import is_globally_safe, project_spectral
 from leaky_rbm.sampler import gibbs_step, make_rng
 from leaky_rbm.training import (
+    EpochRecord,
     expected_hidden,
     negative_phase,
     positive_phase,
@@ -40,6 +44,10 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    def test_unknown_negative_sampler_rejected(self):
+        with pytest.raises(ValueError, match="unknown negative sampler"):
+            TrainConfig(neg_sampler="cd")
 
     def test_hash_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
@@ -252,6 +260,21 @@ class TestTrain:
         assert len(log.epochs) < 30
 
 
+    def test_empty_data_rejected(self, rng):
+        # no rows would make every epoch's recon_error a silent NaN
+        p = random_safe_params(rng, 2, 2)
+        with pytest.raises(ValueError, match="at least one row"):
+            train(p, np.empty((0, 2)), TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="at least one row"):
+            reconstruction_error(p, np.empty((0, 2)))
+
+    @pytest.mark.parametrize("sampler", [NegSampler.CD, NegSampler.MIX])
+    def test_wrong_width_raises_dimension_error(self, rng, sampler):
+        p = random_safe_params(rng, 2, 2)
+        with pytest.raises(DimensionError):
+            train(p, rng.standard_normal((10, 3)), TrainConfig(epochs=1, neg_sampler=sampler))
+
+
 class TestReconstructionError:
     def test_perfect_reconstruction_zero_model(self):
         p = RbmParams.create(np.zeros((2, 1)))
@@ -280,3 +303,103 @@ class TestReconstructionError:
         assert reconstruction_error(p, batch) == pytest.approx(
             self._one_shot(p, batch), rel=1e-12
         )
+
+
+def _reference_train(params0, data, config, loglik_fn=None):
+    """``train`` spelled out from the public phases, one batch at a time.
+
+    Its epoch records take the reconstruction error from the one-shot
+    formula, which ``reconstruction_error`` matches bit for bit up to 1024
+    rows.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    rng = make_rng(config.seed)
+    params = params0
+    vel_W = np.zeros_like(params.weights)
+    vel_b = np.zeros_like(params.hidden_bias)
+    records = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), config.batch_size):
+            batch = data[order[start : start + config.batch_size]]
+            pos = positive_phase(params, batch)
+            neg = negative_phase(params, batch, config, rng)
+            g_W = pos.dW - neg.dW - config.weight_decay * params.weights
+            g_b = pos.db - neg.db
+            vel_W = config.momentum * vel_W + config.learning_rate * g_W
+            vel_b = config.momentum * vel_b + config.learning_rate * g_b
+            new_W = params.weights + vel_W
+            if config.projection_enabled:
+                new_W = project_spectral(new_W)[0]
+            params = params.with_(weights=new_W, hidden_bias=params.hidden_bias + vel_b)
+        recon = float(np.mean((data - visible_conditional(params, expected_hidden(params, data))) ** 2))
+        record = EpochRecord(epoch=epoch, recon_error=recon)
+        if loglik_fn is not None:
+            record.log_likelihood = float(loglik_fn(params))
+        records.append(record)
+        if config.stop_recon_error is not None and recon < config.stop_recon_error:
+            break
+    return params, records
+
+
+class TestTrainReference:
+    """``train`` reproduces the public-phase loop above bit for bit."""
+
+    @staticmethod
+    def _check(params0, data, config, loglik_fn=None):
+        got, log = train(params0, data, config, loglik_fn=loglik_fn)
+        want, records = _reference_train(params0, data, config, loglik_fn=loglik_fn)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.hidden_bias, want.hidden_bias)
+        np.testing.assert_array_equal(got.visible_bias, want.visible_bias)
+        assert [r.epoch for r in log.epochs] == [r.epoch for r in records]
+        np.testing.assert_array_equal(
+            [r.recon_error for r in log.epochs], [r.recon_error for r in records]
+        )
+        np.testing.assert_array_equal(
+            [r.log_likelihood for r in log.epochs], [r.log_likelihood for r in records]
+        )
+        return log
+
+    @pytest.mark.parametrize(
+        "n_visible, n_hidden, kind, config",
+        [
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(learning_rate=0.1, epochs=3, batch_size=40, seed=1)),
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
+                cd_steps=3, learning_rate=0.05, momentum=0.5, weight_decay=1e-3,
+                epochs=3, batch_size=40, seed=2)),
+            (6, 4, HiddenKind.BERNOULLI, TrainConfig(
+                cd_steps=2, learning_rate=0.1, momentum=0.5, epochs=3, batch_size=40, seed=3)),
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
+                cd_steps=3, learning_rate=0.1, neg_sampler=NegSampler.MIX, epochs=3,
+                batch_size=40, seed=4)),
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
+                cd_steps=3, learning_rate=0.02, momentum=0.5, neg_sampler=NegSampler.LEAKY_ANNEAL,
+                anneal=AnnealSchedule(c_target=0.1, total_steps=4), epochs=3, batch_size=40, seed=5)),
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
+                learning_rate=0.01, momentum=0.5, projection_enabled=False, epochs=3,
+                batch_size=40, seed=6)),
+            (40, 30, HiddenKind.LEAKY_RELU, TrainConfig(
+                learning_rate=0.02, momentum=0.5, weight_decay=1e-3, epochs=2, batch_size=64, seed=7)),
+        ],
+    )
+    def test_bit_identical_to_public_phase_loop(self, rng, n_visible, n_hidden, kind, config):
+        # 130 and 250 rows are not multiples of the batch sizes
+        W = random_safe_params(rng, n_visible, n_hidden, max_norm=0.99).weights
+        p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, n_hidden),
+                              leakiness=0.1 if kind is HiddenKind.LEAKY_RELU else 1.0,
+                              hidden_kind=kind)
+        data = rng.standard_normal((130 if n_visible < 10 else 250, n_visible)) * 3.0
+        self._check(p0, data, config)
+
+    def test_stop_recon_error_and_loglik_fn(self, rng):
+        p0 = random_safe_params(rng, 3, 3, max_norm=0.99)
+        data = rng.standard_normal((90, 3)) * 2.0
+        config = TrainConfig(learning_rate=0.05, epochs=8, batch_size=25)
+        recons = [r.recon_error for r in train(p0, data, config)[1].epochs]
+        # stop at the first epoch that improves on every earlier one
+        k = next(i for i in range(1, 8) if recons[i] < min(recons[:i]))
+        stop = (recons[k] + min(recons[:k])) / 2
+        loglik = lambda q: float(np.sum(q.weights) + np.sum(q.hidden_bias))
+        log = self._check(p0, data, replace(config, stop_recon_error=stop), loglik_fn=loglik)
+        assert len(log.epochs) == k + 1
