@@ -72,7 +72,10 @@ def experiment_partition_bias(
     levels: int = 100,
     repeats: int = 10,
 ) -> Path:
-    """Bias of the two AIS variants against the exact orthogonal oracle."""
+    """Bias of the two AIS variants against the exact orthogonal oracle.
+
+    ``dropped`` counts the non-finite particles over all repeats of a row.
+    """
     t0 = time.perf_counter()
     rows = []
     for n_hidden in hidden_counts:
@@ -84,12 +87,11 @@ def experiment_partition_bias(
             "ais-energy": AnnealingPath.energy(levels),
         }
         for method, path in paths.items():
-            biases = [
-                ais_estimate(params, path, particles, make_rng(seed, 1000 + n_hidden * 100 + r)).log_z
-                - exact
+            estimates = [
+                ais_estimate(params, path, particles, make_rng(seed, 1000 + n_hidden * 100 + r))
                 for r in range(repeats)
             ]
-            biases = np.array(biases)
+            biases = np.array([est.log_z - exact for est in estimates])
             rows.append(
                 [
                     n_hidden,
@@ -98,10 +100,13 @@ def experiment_partition_bias(
                     float(biases.std(ddof=1)) if repeats > 1 else 0.0,
                     particles,
                     levels,
+                    sum(est.n_dropped for est in estimates),
                 ]
             )
     out = Path(out_dir) / "partition_bias.csv"
-    _write_csv(out, ["J", "method", "bias_mean", "bias_sd", "particles", "levels"], rows)
+    _write_csv(
+        out, ["J", "method", "bias_mean", "bias_sd", "particles", "levels", "dropped"], rows
+    )
     print(
         f"partition-bias finished in {time.perf_counter() - t0:.1f}s -> {out}",
         file=sys.stderr,

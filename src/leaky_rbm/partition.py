@@ -14,6 +14,12 @@ between the tractable base and the target:
 * one-sided path: a leakiness grid too, beta + (1 - beta) c for beta
   running from 1 to 0.  Its intermediate models are the leaky path's,
   spaced evenly in beta; it is kept for the equivalence analysis.
+
+With J < I hidden units, AIS anneals the J-visible model on the span of
+W (``_span_model``): every log weight reads v only through Q^T (v - a),
+for W = Q R.  Its ``log_z_base``, the log partition of the distribution
+the particles start from, adds the (I - J) log(2 pi) / 2 of the dropped
+dimensions, so ``log_z`` is the full model's.
 """
 from __future__ import annotations
 
@@ -88,7 +94,12 @@ class AnnealingPath:
 
 @dataclass(frozen=True)
 class LogZEstimate:
-    """AIS output: estimate plus per-particle diagnostics."""
+    """AIS output: estimate plus per-particle diagnostics.
+
+    log_z is log_z_base plus the log of the mean importance weight, where
+    log_z_base is the log partition of the distribution the particles
+    were drawn from, in the model's own I visible dimensions.
+    """
 
     log_z: float
     log_weights: np.ndarray
@@ -233,6 +244,29 @@ def exact_log_z_bernoulli(params: RbmParams) -> float:
     return 0.5 * params.n_visible * LOG_2PI + float(logsumexp(terms))
 
 
+def _span_model(params: RbmParams) -> tuple[RbmParams, int]:
+    """The model on the span of W, and the number of visible dimensions dropped.
+
+    With the thin QR factorisation W = Q R (Q of size I x J) and
+    u = v - a = Q y + u_perp, every response is eta = y R + b + a W, and
+    u_perp is a standard normal independent of y under every marginal and
+    Gibbs kernel of the model, the annealed ones included.  So the J-visible
+    model (R, 0, b + a W) has log Z smaller by (I - J) log(2 pi) / 2, and
+    its AIS chain on y is the projection of the chain on v.  When J >= I
+    there is nothing to drop and the model comes back as given.
+    """
+    n_vis, n_hid = params.weights.shape
+    if n_hid >= n_vis:
+        return params, 0
+    W = params.weights
+    span = params.with_(
+        weights=np.linalg.qr(W, mode="r"),
+        visible_bias=np.zeros(n_hid),
+        hidden_bias=params.hidden_bias + params.visible_bias @ W,
+    )
+    return span, n_vis - n_hid
+
+
 def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
     """Draw base particles; return (v, base log density fn, base log Z)."""
     if kind is PathKind.ENERGY:
@@ -259,6 +293,12 @@ def ais_estimate(
     targeting that level.  All reductions stay in the log domain.  Raises
     ValueError unless the path ends at ``params``: at its leakiness for
     the leaky path, at beta = 0 for the others.
+
+    When J < I the chain runs on the model of ``_span_model`` (see the
+    module docstring).  On a boundary model the c = 1 base's shrink then
+    scales R but not b + a W, a base that differs from the full model's
+    shrunk one by that margin; both are exact normalised densities, so
+    the estimate of Z stays unbiased.
     """
     from scipy.special import logsumexp
 
@@ -270,9 +310,11 @@ def ais_estimate(
     target = params.leakiness if kind is PathKind.LEAKY else 0.0
     if path.grid[-1] != target:
         raise ValueError(f"{kind.value} path ends at {path.grid[-1]:g}, not at {target:g}")
-    levels = _levels(params, kind, path.grid[1:])
-    v, base_density, log_z0 = _base_sample_and_density(params, kind, n_particles, rng)
-    a = params.visible_bias
+    span, n_dropped_dims = _span_model(params)
+    levels = _levels(span, kind, path.grid[1:])
+    v, base_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
+    log_z0 += 0.5 * n_dropped_dims * LOG_2PI
+    a = span.visible_bias
     log_w = np.zeros(n_particles)
     prev_density = base_density(v)
     quad = 0.5 * np.sum((v - a) ** 2, axis=-1)

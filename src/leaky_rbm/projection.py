@@ -143,11 +143,16 @@ def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
     T -= ((T @ V) * (1.0 - 1.0 / sigma)) @ V.T
     np.ldexp(T, exp, out=T)
     W_proj = np.ascontiguousarray(T.T) if W.shape[0] < W.shape[1] else T
-    # The rank-k update is accurate to about n * eps * sigma_max, which
-    # moves 1 - sigma^2 by twice that.  Far outside the feasible set this
-    # alone can break I - W W^T >= 0, so the result is clipped again; each
-    # pass shrinks the error by another factor of about n * eps.
-    if 2.0 * gram.shape[0] * np.finfo(np.float64).eps * smax > SAFE_TOL:
+    # The rank-k update is accurate to about n * eps * sigma_max, and the
+    # Gram eigenvalues to about n * eps * sigma_max^2, which puts each
+    # clipped sigma off by about n * eps * (sigma_max / sigma)^2 relative,
+    # the smallest, sigma[0], the most.  1 - sigma^2 moves by up to about
+    # twice their sum (1.8 times it on random 6 x 4 inputs); the check
+    # doubles that for margin.  Far outside the feasible set this alone
+    # can break I - W W^T >= 0, so the result is clipped again; each pass
+    # shrinks the error by another factor of about n * eps.
+    error = gram.shape[0] * np.finfo(np.float64).eps * (smax + (smax / sigma[0]) ** 2)
+    if 4.0 * error > SAFE_TOL:
         W_proj = _clip(W_proj)[0]
     return W_proj, ProjectionReport(len(lam), smax)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -52,13 +53,27 @@ class TestPartitionBiasSchema:
         )
         rows = _rows(out)
         assert set(rows[0]) == {
-            "J", "method", "bias_mean", "bias_sd", "particles", "levels",
+            "J", "method", "bias_mean", "bias_sd", "particles", "levels", "dropped",
         }
         assert {r["method"] for r in rows} == {"ais-energy", "ais-leaky"}
         assert {int(r["J"]) for r in rows} == {2, 4}
         for r in rows:
             float(r["bias_mean"])
             float(r["bias_sd"])
+            assert int(r["dropped"]) == 0
+
+    def test_dropped_sums_over_repeats(self, tmp_path, monkeypatch):
+        import leaky_rbm.experiments as experiments
+
+        real = experiments.ais_estimate
+        monkeypatch.setattr(
+            experiments, "ais_estimate",
+            lambda *args: dataclasses.replace(real(*args), n_dropped=2),
+        )
+        out = experiment_partition_bias(
+            tmp_path, seed=0, hidden_counts=(2,), particles=20, levels=5, repeats=3
+        )
+        assert [int(r["dropped"]) for r in _rows(out)] == [6, 6]
 
 
 class TestMixingSchema:

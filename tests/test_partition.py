@@ -27,6 +27,7 @@ from leaky_rbm.model import bernoulli_log_unnorm_marginal, log_unnorm_marginal
 from leaky_rbm.partition import (
     PathKind,
     _base_sample_and_density,
+    _span_model,
     intermediate_log_density,
 )
 from leaky_rbm.sampler import gibbs_step, make_rng, sample_gaussian_base
@@ -355,7 +356,8 @@ def _reference_log_weights(p, path, n_particles, seed):
 
 
 class TestAisKernel:
-    """ais_estimate runs the level loop on raw arrays, bit for bit."""
+    """ais_estimate runs the level loop on raw arrays, bit for bit, on the
+    span model when J < I and on the model itself otherwise."""
 
     @pytest.fixture
     def leaky(self, rng):
@@ -368,7 +370,7 @@ class TestAisKernel:
         est = ais_estimate(leaky, path, 40, make_rng(12))
         assert est.n_dropped == 0
         np.testing.assert_array_equal(
-            est.log_weights, _reference_log_weights(leaky, path, 40, 12)
+            est.log_weights, _reference_log_weights(_span_model(leaky)[0], path, 40, 12)
         )
 
     def test_bernoulli_log_weights_match_reference_loop(self, rng):
@@ -379,7 +381,20 @@ class TestAisKernel:
         path = AnnealingPath.energy(30)
         est = ais_estimate(p, path, 40, make_rng(13))
         np.testing.assert_array_equal(
-            est.log_weights, _reference_log_weights(p, path, 40, 13)
+            est.log_weights, _reference_log_weights(_span_model(p)[0], path, 40, 13)
+        )
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    @pytest.mark.parametrize("n_hidden", [3, 4])
+    def test_no_span_reduction_when_j_reaches_i(self, rng, kind, n_hidden):
+        p = random_safe_params(rng, 3, n_hidden, leakiness=0.1, max_norm=0.9)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 3))
+        span, n_dropped_dims = _span_model(p)
+        assert span is p and n_dropped_dims == 0
+        path = _path(kind, p, 30)
+        est = ais_estimate(p, path, 40, make_rng(15))
+        np.testing.assert_array_equal(
+            est.log_weights, _reference_log_weights(p, path, 40, 15)
         )
 
     def test_models_built_do_not_grow_with_levels(self, leaky, monkeypatch):
@@ -414,6 +429,53 @@ class TestAisKernel:
         p = random_orthogonal_params(4, 2, 0.01, np.random.default_rng(0))
         with pytest.raises(ValueError, match="path ends at 0.5"):
             ais_estimate(p, path, 16, make_rng(0))
+
+
+def _span_log_z(oracle, p):
+    """``oracle`` of the span model of ``p``, lifted back to I visible units."""
+    span, n_dropped_dims = _span_model(p)
+    assert span.n_visible == p.n_hidden and n_dropped_dims == p.n_visible - p.n_hidden
+    return oracle(span) + 0.5 * n_dropped_dims * LOG_2PI
+
+
+class TestSpanModel:
+    """log Z of a J < I model is its span model's plus (I - J) log(2 pi) / 2."""
+
+    def test_orthogonal_closed_form_is_quadrature_of_the_span(self):
+        p = random_orthogonal_params(64, 2, 0.01, np.random.default_rng(0))
+        assert _span_log_z(quadrature_log_z, p) == pytest.approx(
+            exact_log_z_orthogonal(p), rel=1e-12
+        )
+
+    def test_gaussian_with_biases(self, rng):
+        p = random_safe_params(rng, 9, 3, leakiness=1.0, max_norm=0.9)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 9))
+        assert _span_log_z(gaussian_log_z, p) == pytest.approx(gaussian_log_z(p), rel=1e-12)
+
+    def test_bernoulli_enumeration(self, rng):
+        p = RbmParams.create(
+            0.3 * rng.standard_normal((12, 5)), hidden_bias=rng.uniform(-1.0, 1.0, 5),
+            visible_bias=rng.uniform(-1.0, 1.0, 12), hidden_kind=HiddenKind.BERNOULLI,
+        )
+        assert _span_log_z(exact_log_z_bernoulli, p) == pytest.approx(
+            exact_log_z_bernoulli(p), rel=1e-12
+        )
+
+    def test_rank_deficient_weights(self, rng):
+        W = rng.uniform(-1.0, 1.0, (6, 3))
+        W[:, 2] = W[:, 0] - 0.5 * W[:, 1]
+        W *= 0.9 / np.linalg.svd(W, compute_uv=False)[0]
+        p = RbmParams.create(W, hidden_bias=rng.uniform(-1.0, 1.0, 3),
+                             visible_bias=rng.uniform(-1.0, 1.0, 6))
+        assert np.linalg.matrix_rank(W) == 2
+        assert _span_log_z(gaussian_log_z, p) == pytest.approx(gaussian_log_z(p), rel=1e-12)
+
+    def test_degenerate_c1_ais_with_biases(self, rng):
+        p = random_safe_params(rng, 7, 3, leakiness=1.0, max_norm=0.8)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 7))
+        est = ais_estimate(p, AnnealingPath.leaky(1.0, 10), 200, make_rng(4))
+        assert abs(est.log_z - gaussian_log_z(p)) <= 1e-8
+        assert est.standard_error <= 1e-12
 
 
 class TestOrthogonalBiasPattern:

@@ -112,6 +112,21 @@ class TestAgainstSvd:
         np.testing.assert_allclose(max_singular_value(W), s[0], rtol=1e-12)
         assert report.clipped_count == int(np.count_nonzero(s > 1.0))
 
+    def test_far_outside_with_a_small_clipped_value(self):
+        # sigma_max 4459.5 beside clipped values near 2: estimating the
+        # rounding from sigma_max alone skipped the second pass, and draws
+        # 384 and 800 came back with 1 - sigma^2 of -2.4e-10 and -6.7e-10
+        rng = np.random.default_rng(0)
+        unsafe = []
+        for k in range(3000):
+            U, _, Vt = np.linalg.svd(rng.standard_normal((6, 4)))
+            S = np.sort(rng.uniform(0.1, 4459.5, 4))[::-1]
+            S[0] = 4459.5
+            safe, min_eig = is_globally_safe(project_spectral((U[:, :4] * S) @ Vt)[0])
+            if not safe:
+                unsafe.append((k, min_eig))
+        assert unsafe == []
+
 
 def _with_singular_values(shape, s, seed):
     rng = make_rng(seed)
