@@ -302,14 +302,14 @@ def experiment_likelihood_compare(out_dir, seed: int) -> Path:
                 2000,
                 make_rng(seed, 24),
             )
-            log_z, stderr = est.log_z, est.standard_error
+            log_z, stderr, dropped = est.log_z, est.standard_error, est.n_dropped
         else:
-            log_z, stderr = exact_log_z_bernoulli(model), 0.0
+            log_z, stderr, dropped = exact_log_z_bernoulli(model), 0.0, 0
         loglik = eval_mean_log_likelihood(model, test_data, log_z)
         label = "leaky" if kind is HiddenKind.LEAKY_RELU else "bernoulli-gaussian"
-        rows.append([label, loglik, log_z, stderr])
+        rows.append([label, loglik, log_z, stderr, dropped])
     out = Path(out_dir) / "likelihood_compare.csv"
-    _write_csv(out, ["model", "loglik", "logz", "logz_stderr"], rows)
+    _write_csv(out, ["model", "loglik", "logz", "logz_stderr", "dropped"], rows)
     print(
         f"likelihood-compare finished in {time.perf_counter() - t0:.1f}s -> {out}",
         file=sys.stderr,

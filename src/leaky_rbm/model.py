@@ -142,6 +142,18 @@ def _check_visible(params: RbmParams, v) -> np.ndarray:
     return v
 
 
+def _check_data(params: RbmParams, data) -> np.ndarray:
+    """``data`` as a float64 (n, I) array with n >= 1 rows of the model's width."""
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if data.ndim != 2 or data.shape[1] != params.n_visible:
+        raise DimensionError(
+            f"data has shape {data.shape}, model expects rows of {params.n_visible}"
+        )
+    if data.shape[0] == 0:
+        raise ValueError("data must have at least one row")
+    return data
+
+
 def response(params: RbmParams, v) -> np.ndarray:
     """Hidden-unit responses W^T v + b.
 

@@ -34,13 +34,14 @@ from .errors import DimensionError, DivergentIntegralError, NonPDRegionError
 from .model import (
     HiddenKind,
     RbmParams,
+    _check_data,
     _check_visible,
     bernoulli_log_unnorm_marginal,
     log_marginal_from_response,
     log_unnorm_marginal,
 )
 from .projection import is_globally_safe
-from .sampler import _as_rng, _require_leaky, _sweep, gaussian_base_params, sample_gaussian_base
+from .sampler import _as_rng, _draw_base, _gaussian_base, _require_leaky, _sweep
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -269,16 +270,20 @@ def _span_model(params: RbmParams) -> tuple[RbmParams, int]:
 
 def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
     """Draw base particles; return (v, base log density fn, base log Z)."""
-    if kind is PathKind.ENERGY:
-        a = params.visible_bias
+    W, a = params.weights, params.visible_bias
+    if kind is PathKind.ENERGY:  # builds no c = 1 base, so checks feasibility here
+        safe, min_eig = is_globally_safe(W)
+        if not safe:
+            raise NonPDRegionError(min_eig, "AIS requires I - WW^T >= 0")
         v = a + rng.standard_normal((n, params.n_visible))
         density = lambda x: -0.5 * np.sum((x - a) ** 2, axis=-1)
         log_z0 = 0.5 * params.n_visible * LOG_2PI
         return v, density, log_z0
-    # leaky / one-sided: exact leakiness-1 Gaussian; draws, density and
-    # log Z all belong to the sampler's (possibly boundary-shrunk) base model
-    base = gaussian_base_params(params)
-    v = sample_gaussian_base(params, n, rng)
+    # leaky / one-sided: the exact c = 1 Gaussian, which checks feasibility;
+    # draws, density and log Z all belong to its (possibly shrunk) model
+    W_base, mean, chol_prec = _gaussian_base(W, a, params.hidden_bias)
+    base = params if W_base is W else params.with_(weights=W_base)
+    v = _draw_base(mean, chol_prec, n, rng)
     density = lambda x: log_unnorm_marginal(base, x, leakiness=1.0)
     return v, density, gaussian_log_z(base)
 
@@ -291,21 +296,22 @@ def ais_estimate(
     Particles start at the path's base distribution; at each level the
     log-weight increment is accumulated before running one Gibbs sweep
     targeting that level.  All reductions stay in the log domain.  Raises
-    ValueError unless the path ends at ``params``: at its leakiness for
-    the leaky path, at beta = 0 for the others.
+    ValueError unless n_particles >= 1 and the path ends at ``params``: at
+    its leakiness for the leaky path, at beta = 0 for the others, and
+    NonPDRegionError unless I - W W^T >= 0 (``_base_sample_and_density``).
 
     When J < I the chain runs on the model of ``_span_model`` (see the
-    module docstring).  On a boundary model the c = 1 base's shrink then
+    module docstring); R has the singular values of W, so feasibility is
+    checked on R.  On a boundary model the c = 1 base's shrink then
     scales R but not b + a W, a base that differs from the full model's
     shrunk one by that margin; both are exact normalised densities, so
     the estimate of Z stays unbiased.
     """
     from scipy.special import logsumexp
 
+    if n_particles < 1:
+        raise ValueError(f"n_particles must be at least 1, got {n_particles}")
     rng = _as_rng(rng)
-    safe, min_eig = is_globally_safe(params.weights)
-    if not safe:
-        raise NonPDRegionError(min_eig, "AIS requires I - WW^T >= 0")
     kind = path.kind
     target = params.leakiness if kind is PathKind.LEAKY else 0.0
     if path.grid[-1] != target:
@@ -355,10 +361,14 @@ def ais_estimate(
 
 
 def eval_mean_log_likelihood(params: RbmParams, data, log_z: float) -> float:
-    """Mean log-likelihood of data rows given a log partition value."""
+    """Mean log-likelihood of data rows given a log partition value.
+
+    Raises DimensionError for rows of the wrong width and ValueError for
+    no rows or a non-finite log_z.
+    """
     if not math.isfinite(log_z):
         raise ValueError("log_z must be finite")
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = _check_data(params, data)
     if params.hidden_kind is HiddenKind.BERNOULLI:
         lp = bernoulli_log_unnorm_marginal(params, data)
     else:

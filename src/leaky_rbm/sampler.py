@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionError, NonPDRegionError
 from .model import HiddenKind, RbmParams, branch_slopes, sigmoid
-from .projection import safety_from_max_singular_value
+from .projection import max_singular_value, safety_from_max_singular_value
 
 # Shrink applied to W when its top singular value is within this margin of
 # 1, so the c = 1 covariance stays invertible for the exact base draw.
@@ -78,30 +79,22 @@ class ChainSet:
     h: np.ndarray  # (n_chains, J)
 
 
-def gaussian_base_params(params: RbmParams) -> RbmParams:
-    """The model whose leakiness-1 marginal the base Gaussian is.
+def _gaussian_base(W, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact c = 1 base Gaussian of the model (W, a, b): (W', mean, L).
 
-    Raises NonPDRegionError unless I - W W^T >= 0.  When the top singular
-    value of W is within _BASE_SHRINK_MARGIN of 1, W is rescaled so that
-    it is 1 - _BASE_SHRINK_MARGIN; otherwise the model comes back as given.
+    From one sigma_max of W: raises NonPDRegionError unless I - W W^T >= 0,
+    and W' is W rescaled to sigma_max = 1 - _BASE_SHRINK_MARGIN when it is
+    within that margin of 1, else W itself.  The base is the leakiness-1
+    marginal of (W', a, b), N(mean, Omega^-1) with Omega = I - W' W'^T =
+    L L^T and Omega mean = a + W' b.
     """
-    smax = params.max_singular_value()
+    smax = max_singular_value(W)
     safe, min_eig = safety_from_max_singular_value(smax)
     if not safe:
         raise NonPDRegionError(min_eig, "base Gaussian requires I - WW^T >= 0")
     if smax > 1.0 - _BASE_SHRINK_MARGIN:
-        return params.with_(weights=params.weights * ((1.0 - _BASE_SHRINK_MARGIN) / smax))
-    return params
-
-
-def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and precision Cholesky factor of the exact c = 1 Gaussian.
-
-    The marginal at leakiness 1 is N(mu, Omega^-1) with Omega = I - W W^T
-    and Omega mu = a + W b, for the W of ``gaussian_base_params``.
-    """
-    W = gaussian_base_params(params).weights
-    omega = np.eye(params.n_visible) - W @ W.T
+        W = W * ((1.0 - _BASE_SHRINK_MARGIN) / smax)
+    omega = np.eye(W.shape[0]) - W @ W.T
     try:
         chol_prec = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
@@ -109,22 +102,23 @@ def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
             float(np.linalg.eigvalsh(omega)[0]),
             "c = 1 covariance not positive definite after shrink",
         ) from None
-    mean = np.linalg.solve(omega, params.visible_bias + W @ params.hidden_bias)
-    return mean, chol_prec
+    return W, np.linalg.solve(omega, a + W @ b), chol_prec
+
+
+def _draw_base(mean, chol_prec, n: int, rng) -> np.ndarray:
+    """n draws mean + L^-T z, z standard normal, of shape (n, I)."""
+    z = rng.standard_normal((n, mean.size))
+    return mean + solve_triangular(chol_prec.T, z.T, lower=False).T
+
+
+def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and precision Cholesky factor of the exact c = 1 Gaussian."""
+    return _gaussian_base(params.weights, params.visible_bias, params.hidden_bias)[1:]
 
 
 def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
-    """i.i.d. draws from the exact leakiness-1 Gaussian, shape (n, I).
-
-    Uses the precision Cholesky factor L (Omega = L L^T): a standard
-    normal z maps to mu + L^-T z.
-    """
-    rng = _as_rng(rng)
-    mean, chol_prec = gaussian_base_moments(params)
-    z = rng.standard_normal((n, params.n_visible))
-    # solve L^T x = z for each row
-    x = np.linalg.solve(chol_prec.T, z.T).T
-    return mean + x
+    """i.i.d. draws from the exact leakiness-1 Gaussian, shape (n, I)."""
+    return _draw_base(*gaussian_base_moments(params), n, _as_rng(rng))
 
 
 def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:

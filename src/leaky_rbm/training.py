@@ -26,16 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, TrainingDivergedError
-from .model import RbmParams, branch_slopes, response, sigmoid
+from .errors import TrainingDivergedError
+from .model import RbmParams, _check_data, branch_slopes, response, sigmoid
 from .projection import _clip
 from .sampler import (
     AnnealSchedule,
     _as_rng,
+    _draw_base,
+    _gaussian_base,
     _run_annealed,
     _sweep,
     _unit_leakiness,
-    sample_gaussian_base,
 )
 
 
@@ -113,18 +114,6 @@ class TrainingLog:
     epochs: list[EpochRecord] = field(default_factory=list)
 
 
-def _check_data(params: RbmParams, data) -> np.ndarray:
-    """``data`` as a float64 (n, I) array with n >= 1 rows of the model's width."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if data.ndim != 2 or data.shape[1] != params.n_visible:
-        raise DimensionError(
-            f"data has shape {data.shape}, model expects rows of {params.n_visible}"
-        )
-    if data.shape[0] == 0:
-        raise ValueError("data must have at least one row")
-    return data
-
-
 def _hidden_mean(eta: np.ndarray, c: float | None, out=None) -> np.ndarray:
     """E[h | v] from the responses eta = v W + b.
 
@@ -193,7 +182,8 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
         schedule = AnnealSchedule(c_target=c, total_steps=config.cd_steps)
     v = batch
     if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
-        v = sample_gaussian_base(RbmParams(W, a, b, c), len(batch), rng)
+        _, mean, chol_prec = _gaussian_base(W, a, b)
+        v = _draw_base(mean, chol_prec, len(batch), rng)
     return _run_annealed(W, a, b, schedule, v, rng).v
 
 

@@ -105,7 +105,9 @@ class TestLikelihoodCompareSchema:
         out = experiment_likelihood_compare(tmp_path, seed=0)
         rows = {r["model"]: r for r in _rows(out)}
         assert set(rows) == {"leaky", "bernoulli-gaussian"}
-        assert set(rows["leaky"]) == {"model", "loglik", "logz", "logz_stderr"}
+        assert set(rows["leaky"]) == {"model", "loglik", "logz", "logz_stderr", "dropped"}
+        assert int(rows["leaky"]["dropped"]) == 0
+        assert int(rows["bernoulli-gaussian"]["dropped"]) == 0
         assert float(rows["leaky"]["loglik"]) > float(
             rows["bernoulli-gaussian"]["loglik"]
         )

@@ -9,6 +9,7 @@ from leaky_rbm import (
     DimensionError,
     DivergentIntegralError,
     HiddenKind,
+    NonPDRegionError,
     RbmParams,
     ais_estimate,
     eval_mean_log_likelihood,
@@ -320,6 +321,37 @@ class TestAisEstimate:
         assert a.log_z == b.log_z
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
 
+    def test_rejects_no_particles(self):
+        p = RbmParams.create(np.eye(3, 2) * 0.5, leakiness=0.1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_particles"):
+                ais_estimate(p, AnnealingPath.leaky(0.1, 5), n, 1)
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    @pytest.mark.parametrize("n_visible", [2, 3])
+    def test_infeasible_model_rejected_on_every_path(self, kind, n_visible):
+        p = RbmParams.create(np.eye(n_visible, 2) * [1.5, 0.1], leakiness=0.1)
+        with pytest.raises(NonPDRegionError):
+            ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_one_sigma_max_per_call(self, kind, monkeypatch):
+        import leaky_rbm.projection as projection
+
+        calls = []
+        scaled_gram = projection._scaled_gram
+
+        def counting(W):
+            calls.append(W.shape)
+            return scaled_gram(W)
+
+        monkeypatch.setattr(projection, "_scaled_gram", counting)
+        for p in (random_orthogonal(make_rng(6), 64, 16, 0.1),
+                  random_safe_params(make_rng(7), 4, 4, leakiness=0.1)):
+            calls.clear()
+            ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
+            assert len(calls) == 1, calls
+
 
 def _path(kind, p, n_levels):
     """The path of ``kind`` with ``n_levels`` levels that ends at ``p``."""
@@ -537,6 +569,14 @@ class TestEvalMeanLogLikelihood:
         expected = multivariate_normal(mean, cov).logpdf(data).mean()
         got = eval_mean_log_likelihood(p, data, gaussian_log_z(p))
         assert got == pytest.approx(expected, abs=1e-8)
+
+    def test_rejects_no_rows(self, rng):
+        # the mean of no rows used to come back as a silent NaN
+        p = random_safe_params(rng, 3, 2)
+        with pytest.raises(ValueError, match="at least one row"):
+            eval_mean_log_likelihood(p, np.zeros((0, 3)), 1.0)
+        with pytest.raises(DimensionError):
+            eval_mean_log_likelihood(p, np.zeros((4, 2)), 1.0)
 
     def test_rejects_non_finite_log_z(self, rng):
         p = random_safe_params(rng, 2, 2)

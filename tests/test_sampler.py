@@ -13,6 +13,7 @@ from leaky_rbm import (
     mix_sample,
     sample_gaussian_base,
 )
+from leaky_rbm.projection import project_spectral
 from leaky_rbm.sampler import gaussian_base_moments, make_rng
 from leaky_rbm.partition import quadrature_log_z
 from leaky_rbm.model import log_unnorm_marginal
@@ -98,6 +99,24 @@ class TestGaussianBase:
         a = sample_gaussian_base(p, 16, make_rng(9))
         b = sample_gaussian_base(p, 16, make_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (64, 16), "boundary"])
+    def test_draw_is_mean_plus_inverse_transpose_factor(self, shape):
+        # the draw solves L^T x = z by one triangular solve, bit for bit
+        # the general solve; the boundary model is shrunk by the base
+        g = np.random.default_rng(3)
+        if shape == "boundary":
+            W, _ = project_spectral(2.0 * g.standard_normal((5, 3)))
+            p = RbmParams.create(W, hidden_bias=g.standard_normal(3),
+                                 visible_bias=g.standard_normal(5))
+            assert p.max_singular_value() > 1.0 - 1e-6
+        else:
+            p = random_safe_params(g, *shape).with_(
+                visible_bias=g.uniform(-1.0, 1.0, shape[0]))
+        mean, chol = gaussian_base_moments(p)
+        z = make_rng(8).standard_normal((100, p.n_visible))
+        expected = mean + np.linalg.solve(chol.T, z.T).T
+        np.testing.assert_array_equal(sample_gaussian_base(p, 100, make_rng(8)), expected)
 
 
 class TestGibbsStep:

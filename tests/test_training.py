@@ -274,6 +274,40 @@ class TestTrain:
         with pytest.raises(DimensionError):
             train(p, rng.standard_normal((10, 3)), TrainConfig(epochs=1, neg_sampler=sampler))
 
+    def test_leaky_anneal_builds_no_params_per_minibatch(self, rng, monkeypatch):
+        # the c = 1 base is drawn from raw arrays: leaky-anneal builds the
+        # same models as CD, one per epoch, however many minibatches run
+        built = []
+        post_init = RbmParams.__post_init__
+
+        def counting(obj):
+            built.append(obj)
+            post_init(obj)
+
+        p = random_safe_params(rng, 4, 3, leakiness=0.1)
+        data = rng.standard_normal((30, 4))
+        monkeypatch.setattr(RbmParams, "__post_init__", counting)
+        counts = {}
+        for sampler in (NegSampler.CD, NegSampler.LEAKY_ANNEAL):
+            built.clear()
+            cfg = TrainConfig(epochs=2, batch_size=10, cd_steps=2, neg_sampler=sampler)
+            train(p, data, cfg)
+            counts[sampler] = len(built)
+        assert counts[NegSampler.LEAKY_ANNEAL] == counts[NegSampler.CD] == 2
+
+    def test_mix_at_one_sweep_is_cd1(self, rng):
+        # the default schedule reaches the target leakiness on its first
+        # sweep, so mix with cd_steps = 1 is CD-1 from the same data rows
+        p = random_safe_params(rng, 20, 10, leakiness=0.1)
+        data = rng.standard_normal((60, 20))
+        for cd_steps, same in ((1, True), (2, False)):
+            cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=20, seed=4,
+                              cd_steps=cd_steps)
+            cd, _ = train(p, data, cfg)
+            mix, _ = train(p, data, replace(cfg, neg_sampler=NegSampler.MIX))
+            assert np.array_equal(mix.weights, cd.weights) is same
+            assert np.array_equal(mix.hidden_bias, cd.hidden_bias) is same
+
 
 class TestReconstructionError:
     def test_perfect_reconstruction_zero_model(self):
