@@ -58,7 +58,9 @@ def ingest(path, fmt: str | None = None, stats: Normalization | None = None) -> 
 
     ``fmt`` is 'csv' or 'raw-f32'; None infers from the extension
     ('.csv' vs anything else).  Pass ``stats`` to reuse stored
-    normalization constants instead of recomputing them.
+    normalization constants instead of recomputing them.  A missing,
+    malformed or empty file, or one holding NaN or inf, raises
+    DataFormatError naming the path.
     """
     path = Path(path)
     if not path.exists():
@@ -73,6 +75,9 @@ def ingest(path, fmt: str | None = None, stats: Normalization | None = None) -> 
         raise DataFormatError(f"unknown dataset format {fmt!r}")
     if matrix.size == 0:
         raise DataFormatError(f"{path}: dataset is empty (shape {matrix.shape})")
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise DataFormatError(f"{path}: non-finite value at row {row}, column {col} (0-based)")
     return normalize(matrix, stats)
 
 

@@ -8,7 +8,7 @@ a single visible vector of shape (I,) or a batch of shape (n, I).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,15 +94,7 @@ class RbmParams:
 
     def with_(self, **changes) -> "RbmParams":
         """Copy with some fields replaced."""
-        fields = {
-            "weights": self.weights,
-            "visible_bias": self.visible_bias,
-            "hidden_bias": self.hidden_bias,
-            "leakiness": self.leakiness,
-            "hidden_kind": self.hidden_kind,
-        }
-        fields.update(changes)
-        return RbmParams(**fields)
+        return replace(self, **changes)
 
     def max_singular_value(self) -> float:
         return max_singular_value(self.weights)

@@ -41,9 +41,8 @@ from .model import (
     log_unnorm_marginal,
 )
 from .projection import is_globally_safe
-from .sampler import _as_rng, _draw_base, _gaussian_base, _require_leaky, _sweep
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .sampler import (LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form,
+                      _require_leaky, _sweep, _unit_leakiness)
 
 
 class PathKind(enum.Enum):
@@ -119,8 +118,7 @@ def _levels(params: RbmParams, kind: PathKind, grid):
     for Bernoulli units (it enters linearly), whose c is None.  The leaky
     path sets c to the level, the one-sided path to beta + (1 - beta) c.
     """
-    W, b = params.weights, params.hidden_bias
-    c = None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
+    W, b, c = params.weights, params.hidden_bias, _unit_leakiness(params)
     grid = np.asarray(grid, dtype=np.float64)
     if kind is PathKind.ENERGY:
         scales = 1.0 - grid if c is None else np.sqrt(1.0 - grid)
@@ -140,25 +138,11 @@ def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v)
 
 
 def gaussian_log_z(params: RbmParams) -> float:
-    """Closed-form log partition at leakiness 1.
+    """Closed-form log partition at leakiness 1 (``_gaussian_closed_form``).
 
-    The marginal is exp(-v^T Omega v / 2 + r^T v - ||a||^2/2 + ||b||^2/2)
-    with Omega = I - W W^T and r = a + W b.
+    Raises NonPDRegionError unless Omega = I - W W^T is positive definite.
     """
-    W = params.weights
-    omega = np.eye(params.n_visible) - W @ W.T
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
-        raise NonPDRegionError(float(np.linalg.eigvalsh(omega)[0]))
-    r = params.visible_bias + W @ params.hidden_bias
-    quad = float(r @ np.linalg.solve(omega, r))
-    return (
-        0.5 * params.n_visible * LOG_2PI
-        - 0.5 * logdet
-        + 0.5 * quad
-        - 0.5 * float(params.visible_bias @ params.visible_bias)
-        + 0.5 * float(params.hidden_bias @ params.hidden_bias)
-    )
+    return _gaussian_closed_form(params.weights, params.visible_bias, params.hidden_bias)[2]
 
 
 def exact_log_z_orthogonal(params: RbmParams) -> float:
@@ -270,7 +254,7 @@ def _span_model(params: RbmParams) -> tuple[RbmParams, int]:
 
 def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
     """Draw base particles; return (v, base log density fn, base log Z)."""
-    W, a = params.weights, params.visible_bias
+    W, a, b = params.weights, params.visible_bias, params.hidden_bias
     if kind is PathKind.ENERGY:  # builds no c = 1 base, so checks feasibility here
         safe, min_eig = is_globally_safe(W)
         if not safe:
@@ -281,11 +265,12 @@ def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
         return v, density, log_z0
     # leaky / one-sided: the exact c = 1 Gaussian, which checks feasibility;
     # draws, density and log Z all belong to its (possibly shrunk) model
-    W_base, mean, chol_prec = _gaussian_base(W, a, params.hidden_bias)
-    base = params if W_base is W else params.with_(weights=W_base)
+    W_base, mean, chol_prec, log_z0 = _gaussian_base(W, a, b)
     v = _draw_base(mean, chol_prec, n, rng)
-    density = lambda x: log_unnorm_marginal(base, x, leakiness=1.0)
-    return v, density, gaussian_log_z(base)
+    density = lambda x: log_marginal_from_response(
+        x @ W_base + b, 0.5 * np.sum((x - a) ** 2, axis=-1), 1.0
+    )
+    return v, density, log_z0
 
 
 def ais_estimate(

@@ -7,6 +7,7 @@ every sampler deterministic given its inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .projection import max_singular_value, safety_from_max_singular_value
 # Shrink applied to W when its top singular value is within this margin of
 # 1, so the c = 1 covariance stays invertible for the exact base draw.
 _BASE_SHRINK_MARGIN = 1e-6
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -57,8 +59,8 @@ class AnnealSchedule:
             else:
                 eps = span / (0.9 * self.total_steps)
             object.__setattr__(self, "epsilon", eps)
-        elif self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        elif not self.epsilon >= 0:  # negated so that NaN fails it too
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     def leakiness_sequence(self) -> np.ndarray:
         """The leakiness used at each of the total_steps Gibbs sweeps."""
@@ -79,14 +81,37 @@ class ChainSet:
     h: np.ndarray  # (n_chains, J)
 
 
-def _gaussian_base(W, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact c = 1 base Gaussian of the model (W, a, b): (W', mean, L).
+def _gaussian_closed_form(W, a, b) -> tuple[np.ndarray, np.ndarray, float]:
+    """The leakiness-1 marginal of (W, a, b) in closed form: (mean, L, log Z).
+
+    The marginal is exp(-v^T Omega v / 2 + r^T v - ||a||^2/2 + ||b||^2/2)
+    with Omega = I - W W^T = L L^T and r = a + W b, so it is N(mean,
+    Omega^-1) with Omega mean = r, and log Z = I log(2 pi) / 2 - sum_i
+    log L_ii + (r^T mean - ||a||^2 + ||b||^2) / 2.  Raises NonPDRegionError
+    unless Omega is positive definite.
+    """
+    omega = np.eye(W.shape[0]) - W @ W.T
+    try:
+        chol_prec = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        raise NonPDRegionError(float(np.linalg.eigvalsh(omega)[0])) from None
+    r = a + W @ b
+    mean = np.linalg.solve(omega, r)
+    log_z = (
+        0.5 * W.shape[0] * LOG_2PI
+        - float(np.log(np.diagonal(chol_prec)).sum())
+        + 0.5 * (float(r @ mean) - float(a @ a) + float(b @ b))
+    )
+    return mean, chol_prec, log_z
+
+
+def _gaussian_base(W, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The exact c = 1 base Gaussian of the model (W, a, b): (W', mean, L, log Z).
 
     From one sigma_max of W: raises NonPDRegionError unless I - W W^T >= 0,
     and W' is W rescaled to sigma_max = 1 - _BASE_SHRINK_MARGIN when it is
     within that margin of 1, else W itself.  The base is the leakiness-1
-    marginal of (W', a, b), N(mean, Omega^-1) with Omega = I - W' W'^T =
-    L L^T and Omega mean = a + W' b.
+    marginal of (W', a, b), from ``_gaussian_closed_form``.
     """
     smax = max_singular_value(W)
     safe, min_eig = safety_from_max_singular_value(smax)
@@ -94,15 +119,7 @@ def _gaussian_base(W, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NonPDRegionError(min_eig, "base Gaussian requires I - WW^T >= 0")
     if smax > 1.0 - _BASE_SHRINK_MARGIN:
         W = W * ((1.0 - _BASE_SHRINK_MARGIN) / smax)
-    omega = np.eye(W.shape[0]) - W @ W.T
-    try:
-        chol_prec = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
-        raise NonPDRegionError(
-            float(np.linalg.eigvalsh(omega)[0]),
-            "c = 1 covariance not positive definite after shrink",
-        ) from None
-    return W, np.linalg.solve(omega, a + W @ b), chol_prec
+    return (W, *_gaussian_closed_form(W, a, b))
 
 
 def _draw_base(mean, chol_prec, n: int, rng) -> np.ndarray:
@@ -113,7 +130,7 @@ def _draw_base(mean, chol_prec, n: int, rng) -> np.ndarray:
 
 def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:
     """Mean and precision Cholesky factor of the exact c = 1 Gaussian."""
-    return _gaussian_base(params.weights, params.visible_bias, params.hidden_bias)[1:]
+    return _gaussian_base(params.weights, params.visible_bias, params.hidden_bias)[1:3]
 
 
 def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:

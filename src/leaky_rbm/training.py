@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -85,12 +85,7 @@ class TrainConfig:
             if k != "anneal"
         }
         if self.anneal is not None:
-            payload["anneal"] = [
-                self.anneal.c_target,
-                self.anneal.total_steps,
-                self.anneal.c_start,
-                self.anneal.epsilon,
-            ]
+            payload["anneal"] = astuple(self.anneal)
         blob = json.dumps(payload, sort_keys=True).encode()
         return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
@@ -182,7 +177,7 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
         schedule = AnnealSchedule(c_target=c, total_steps=config.cd_steps)
     v = batch
     if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
-        _, mean, chol_prec = _gaussian_base(W, a, b)
+        _, mean, chol_prec, _ = _gaussian_base(W, a, b)
         v = _draw_base(mean, chol_prec, len(batch), rng)
     return _run_annealed(W, a, b, schedule, v, rng).v
 

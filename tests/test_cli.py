@@ -75,6 +75,29 @@ class TestExitCodes:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "wide.csv" in err, err
 
+    @pytest.mark.parametrize("command", ["train", "eval-ll"])
+    def test_non_finite_data_is_file_error(self, tmp_path, rng, capsys, command):
+        model = tmp_path / "m.rbm"
+        save_model(model, random_safe_params(rng, 3, 2, leakiness=0.2, max_norm=0.7))
+        for name, value in (("nan.csv", np.nan), ("inf.csv", np.inf), ("nan.bin", np.nan)):
+            m = rng.standard_normal((20, 3))
+            m[5, 1] = value
+            path = tmp_path / name
+            if path.suffix == ".csv":
+                np.savetxt(path, m, delimiter=",")
+            else:
+                write_raw_f32(path, m)
+            if command == "train":
+                args = ["train", "--data", str(path), "--hidden", "2", "--epochs", "1"]
+            else:
+                args = ["eval-ll", "--model", str(model), "--data", str(path), "--log-z", "1.0"]
+            rc = main(["--out", str(tmp_path), *args])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert len(captured.err.splitlines()) == 1 and name in captured.err, captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "model.rbm").exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path, rng, capsys):
         # an unsafe model makes the annealed sampler's base Gaussian
         # undefined, which the contract maps to exit code 2

@@ -83,6 +83,16 @@ class TestIngest:
         with pytest.raises(DataFormatError):
             ingest(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_path(self, tmp_path, value):
+        m = np.arange(12.0).reshape(4, 3)
+        m[2, 1] = value
+        np.savetxt(tmp_path / "d.csv", m, delimiter=",")
+        write_raw_f32(tmp_path / "d.bin", m)
+        for name in ("d.csv", "d.bin"):
+            with pytest.raises(DataFormatError, match=rf"{name}: non-finite value at row 2, column 1"):
+                ingest(tmp_path / name)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(b"XXXX" + b"\0" * 20)

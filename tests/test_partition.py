@@ -56,6 +56,17 @@ class TestGaussianLogZ:
             quadrature_log_z(p, tolerance=1e-9), rel=1e-7
         )
 
+    def test_indefinite_omega_rejected(self):
+        # with an even number of singular values above 1, det(I - W W^T) > 0
+        # although the marginal diverges
+        g = np.random.default_rng(0)
+        U, _ = np.linalg.qr(g.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(g.standard_normal((3, 3)))
+        for W in (np.diag([1.5, 1.5]), U @ np.diag([1.4, 1.2, 0.5]) @ V.T):
+            assert np.linalg.det(np.eye(len(W)) - W @ W.T) > 0
+            with pytest.raises(NonPDRegionError):
+                gaussian_log_z(RbmParams.create(W, leakiness=1.0))
+
 
 class TestExactOrthogonal:
     def test_zero_weights(self):
@@ -351,6 +362,23 @@ class TestAisEstimate:
             calls.clear()
             ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
             assert len(calls) == 1, calls
+
+
+    @pytest.mark.parametrize("kind", [PathKind.LEAKY, PathKind.ONE_SIDED])
+    def test_one_factorisation_per_call(self, kind, monkeypatch):
+        # the c = 1 base gives draws and log Z from one Cholesky and one solve
+        calls = dict.fromkeys(["cholesky", "solve", "slogdet"], 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for p in (random_orthogonal(make_rng(6), 64, 16, 0.1),
+                  random_orthogonal(make_rng(7), 16, 16, 0.1)):
+            calls.update(dict.fromkeys(calls, 0))
+            ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
+            assert calls == {"cholesky": 1, "solve": 1, "slogdet": 0}, p.weights.shape
 
 
 def _path(kind, p, n_levels):

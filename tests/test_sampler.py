@@ -58,6 +58,8 @@ class TestAnnealSchedule:
             AnnealSchedule(c_target=0.5, total_steps=5, c_start=0.4)
         with pytest.raises(ValueError):
             AnnealSchedule(c_target=0.5, total_steps=5, epsilon=-0.1)
+        with pytest.raises(ValueError):
+            AnnealSchedule(c_target=0.5, total_steps=5, epsilon=float("nan"))
 
 
 class TestGaussianBase:
