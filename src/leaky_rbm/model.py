@@ -124,6 +124,13 @@ class RegionGaussian:
     is_pd: bool
 
 
+def _require_kind(params: RbmParams, kind: HiddenKind, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless the hidden units are of ``kind``."""
+    if params.hidden_kind is not kind:
+        name = "leaky" if kind is HiddenKind.LEAKY_RELU else "Bernoulli"
+        raise ValueError(f"{what} requires {name} hidden units")
+
+
 def _check_visible(params: RbmParams, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != params.n_visible:
@@ -166,8 +173,7 @@ def hidden_conditional(params: RbmParams, v):
     A unit on slope alpha (see ``branch_slopes``) is N(alpha eta, alpha):
     positive responses get N(eta, 1), non-positive ones N(c eta, c).
     """
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("hidden_conditional requires leaky hidden units")
+    _require_kind(params, HiddenKind.LEAKY_RELU, "hidden_conditional")
     eta = response(params, v)
     alpha = branch_slopes(eta, params.leakiness)
     return alpha * eta, alpha
@@ -175,8 +181,7 @@ def hidden_conditional(params: RbmParams, v):
 
 def bernoulli_hidden_conditional(params: RbmParams, v) -> np.ndarray:
     """p(h_j = 1 | v) for Bernoulli hidden units: sigmoid of the response."""
-    if params.hidden_kind is not HiddenKind.BERNOULLI:
-        raise ValueError("bernoulli_hidden_conditional requires Bernoulli units")
+    _require_kind(params, HiddenKind.BERNOULLI, "bernoulli_hidden_conditional")
     return sigmoid(response(params, v))
 
 
@@ -203,8 +208,7 @@ def visible_conditional(params: RbmParams, h) -> np.ndarray:
 
 def activation_pattern(params: RbmParams, v) -> ActivationPattern:
     """Branch coefficients alpha_j = 1 if eta_j > 0 else c, for a single v."""
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("activation patterns only apply to leaky hidden units")
+    _require_kind(params, HiddenKind.LEAKY_RELU, "activation_pattern")
     return ActivationPattern(branch_slopes(response(params, v), params.leakiness))
 
 
@@ -240,10 +244,9 @@ def log_unnorm_marginal(params: RbmParams, v, leakiness: float | None = None):
     Equals -||v - a||^2/2 + sum_j f(eta_j) with f(eta) = eta^2/2 on the
     positive branch and c*eta^2/2 otherwise; this is the exact result of
     integrating the hidden units out of the joint.  An explicit
-    ``leakiness`` overrides the model's c (the AIS base scores at c = 1).
+    ``leakiness`` overrides the model's c.
     """
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("log_unnorm_marginal requires leaky hidden units")
+    _require_kind(params, HiddenKind.LEAKY_RELU, "log_unnorm_marginal")
     c = params.leakiness if leakiness is None else float(leakiness)
     v = _check_visible(params, v)
     quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
@@ -256,8 +259,7 @@ def bernoulli_log_unnorm_marginal(params: RbmParams, v):
     Summing the joint over h in {0,1}^J gives
     -||v - a||^2/2 + sum_j softplus(eta_j).
     """
-    if params.hidden_kind is not HiddenKind.BERNOULLI:
-        raise ValueError("bernoulli_log_unnorm_marginal requires Bernoulli units")
+    _require_kind(params, HiddenKind.BERNOULLI, "bernoulli_log_unnorm_marginal")
     v = _check_visible(params, v)
     quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
     return log_marginal_from_response(v @ params.weights + params.hidden_bias, quad, None)

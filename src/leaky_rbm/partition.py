@@ -36,13 +36,14 @@ from .model import (
     RbmParams,
     _check_data,
     _check_visible,
+    _require_kind,
     bernoulli_log_unnorm_marginal,
     log_marginal_from_response,
     log_unnorm_marginal,
 )
 from .projection import is_globally_safe
 from .sampler import (LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form,
-                      _require_leaky, _sweep, _unit_leakiness)
+                      _sweep, _unit_leakiness)
 
 
 class PathKind(enum.Enum):
@@ -123,7 +124,7 @@ def _levels(params: RbmParams, kind: PathKind, grid):
     if kind is PathKind.ENERGY:
         scales = 1.0 - grid if c is None else np.sqrt(1.0 - grid)
         return ((W * s, b * s, c) for s in scales.tolist())
-    _require_leaky(params)
+    _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     if kind is PathKind.ONE_SIDED:
         grid = grid + (1.0 - grid) * c
     return ((W, b, c_k) for c_k in grid.tolist())
@@ -160,8 +161,7 @@ def exact_log_z_orthogonal(params: RbmParams) -> float:
     on 2pi is +I/2, the value of the Gaussian integral (validated against
     the quadrature oracle).
     """
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("the orthogonal closed form applies to leaky models")
+    _require_kind(params, HiddenKind.LEAKY_RELU, "exact_log_z_orthogonal")
     if np.any(np.abs(params.hidden_bias) > 0) or np.any(np.abs(params.visible_bias) > 0):
         raise ValueError("the orthogonal closed form requires zero biases")
     W = params.weights
@@ -192,8 +192,7 @@ def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
     """
     if params.n_visible > 2:
         raise DimensionError("quadrature oracle supports at most 2 visible units")
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("quadrature oracle targets the leaky marginal")
+    _require_kind(params, HiddenKind.LEAKY_RELU, "quadrature_log_z")
     # a module of its own, as only this oracle needs scipy.integrate and .special
     from ._quadrature import _line_log_integral, _plane_log_z
 
@@ -211,8 +210,7 @@ def exact_log_z_bernoulli(params: RbmParams) -> float:
     Z = sum over h in {0,1}^J of (2pi)^(I/2)
         exp(||a + W h||^2/2 - ||a||^2/2 + b^T h); practical for J <= 20.
     """
-    if params.hidden_kind is not HiddenKind.BERNOULLI:
-        raise ValueError("enumeration oracle requires Bernoulli hidden units")
+    _require_kind(params, HiddenKind.BERNOULLI, "exact_log_z_bernoulli")
     n_hid = params.n_hidden
     if n_hid > 20:
         raise ValueError("enumeration oracle limited to 20 hidden units")

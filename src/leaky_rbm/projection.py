@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import linalg
 
-from .errors import LeakyRbmError
+from .errors import DimensionError, LeakyRbmError
 
 # Smallest eigenvalue of I - W W^T (or of a region precision matrix)
 # that still counts as positive (semi-)definite.
@@ -74,6 +74,8 @@ def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     smaller Gram matrix T^T T, whose eigenpairs are the squared singular
     values and right singular vectors of T, from overflowing or underflowing.
     """
+    if W.ndim != 2:
+        raise DimensionError("weights must be a 2-D matrix")
     T = W.T if W.shape[0] < W.shape[1] else W
     exp = int(np.frexp(max(T.max(initial=0.0), -T.min(initial=0.0)))[1])
     T = np.ldexp(T, -exp)  # a new array

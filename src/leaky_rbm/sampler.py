@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionError, NonPDRegionError
-from .model import HiddenKind, RbmParams, branch_slopes, sigmoid
+from .errors import NonPDRegionError
+from .model import HiddenKind, RbmParams, _check_data, _require_kind, branch_slopes, sigmoid
 from .projection import max_singular_value, safety_from_max_singular_value
 
 # Shrink applied to W when its top singular value is within this margin of
@@ -141,14 +141,10 @@ def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
 def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """One full sweep: sample h | v, then v | h, for a batch of chains.
 
-    Returns (v', h').
+    v is one row or (n, I) rows, checked like ``train``'s data.  Returns (v', h').
     """
     rng = _as_rng(rng)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[None, :]
-    if v.shape[1] != params.n_visible:
-        raise DimensionError("chain state dimension does not match model")
+    v = _check_data(params, v)
     eta = v @ params.weights + params.hidden_bias
     return _sweep(eta, params.weights, params.visible_bias, _unit_leakiness(params), rng)
 
@@ -173,11 +169,6 @@ def _sweep(eta, W, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
     return v_mean + rng.standard_normal(v_mean.shape), h
 
 
-def _require_leaky(params: RbmParams) -> None:
-    if params.hidden_kind is not HiddenKind.LEAKY_RELU:
-        raise ValueError("leakiness annealing requires leaky hidden units")
-
-
 def anneal_leakiness_sample(
     params: RbmParams, schedule: AnnealSchedule, n_chains: int, rng
 ) -> ChainSet:
@@ -187,7 +178,7 @@ def anneal_leakiness_sample(
     the leakiness per the schedule and runs one Gibbs sweep.  Raises
     ValueError for Bernoulli hidden units, which have no leakiness.
     """
-    _require_leaky(params)
+    _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     rng = _as_rng(rng)
     v = sample_gaussian_base(params, n_chains, rng)
     return _run_annealed(params.weights, params.visible_bias, params.hidden_bias, schedule, v, rng)
@@ -203,16 +194,13 @@ def mix_sample(
     """Annealed sampling with chains initialized at empirical data rows.
 
     Skips the Gaussian factorization entirely; rows are drawn uniformly
-    with replacement when n_chains differs from the batch size.  Raises
-    ValueError for Bernoulli hidden units, which have no leakiness.
+    with replacement when n_chains differs from the batch size; a 1-D
+    batch is one row.  Raises ValueError for Bernoulli hidden units, which
+    have no leakiness.
     """
-    _require_leaky(params)
+    _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     rng = _as_rng(rng)
-    data_batch = np.asarray(data_batch, dtype=np.float64)
-    if data_batch.ndim != 2 or data_batch.shape[0] == 0:
-        raise ValueError("data_batch must be a nonempty 2-D array")
-    if data_batch.shape[1] != params.n_visible:
-        raise DimensionError("data dimension does not match model")
+    data_batch = _check_data(params, data_batch)
     if n_chains is None or n_chains == data_batch.shape[0]:
         v = data_batch.copy()
     else:

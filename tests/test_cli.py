@@ -276,6 +276,8 @@ class TestMalformedOptions:
                 (None, ["train", "--data", "{data}", "--hidden", "0"]),
                 (None, ["train", "--data", "{data}", "--leakiness", "0"]),
                 (None, ["train", "--data", "{data}", "--momentum", "1.5"]),
+                (None, ["train", "--data", "{data}", "--learning-rate", "inf"]),
+                (None, ["train", "--data", "{data}", "--weight-decay", "inf"]),
                 (None, ["estimate-z", "--model", "{model}", "--levels", "0"]),
                 (None, ["estimate-z", "--model", "{model}", "--particles", "0"]),
                 (None, ["sample", "--model", "{model}", "--steps", "-1"]),

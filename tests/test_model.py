@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 from leaky_rbm import (
     ActivationPattern,
+    AnnealingPath,
+    AnnealSchedule,
     DimensionError,
     HiddenKind,
     RbmParams,
     activation_pattern,
+    ais_estimate,
+    anneal_leakiness_sample,
     bernoulli_hidden_conditional,
     bernoulli_log_unnorm_marginal,
+    exact_log_z_bernoulli,
+    exact_log_z_orthogonal,
     hidden_conditional,
     log_unnorm_marginal,
+    mix_sample,
+    quadrature_log_z,
     region_precision_mean,
     response,
     visible_conditional,
@@ -345,3 +353,39 @@ def test_property_pattern_matches_c1_allones(data):
     r_ones = region_precision_mean(p, ActivationPattern(np.ones(3)))
     np.testing.assert_allclose(r_pattern.precision, r_ones.precision, rtol=1e-12)
     np.testing.assert_allclose(r_pattern.mean, r_ones.mean, rtol=1e-10)
+
+
+_SCHEDULE = AnnealSchedule(c_target=1.0, total_steps=2)
+
+
+@pytest.mark.parametrize(
+    "kind, entry",
+    [
+        (HiddenKind.LEAKY_RELU, lambda p: hidden_conditional(p, np.zeros(2))),
+        (HiddenKind.BERNOULLI, lambda p: bernoulli_hidden_conditional(p, np.zeros(2))),
+        (HiddenKind.LEAKY_RELU, lambda p: activation_pattern(p, np.zeros(2))),
+        (HiddenKind.LEAKY_RELU, lambda p: log_unnorm_marginal(p, np.zeros(2))),
+        (HiddenKind.BERNOULLI, lambda p: bernoulli_log_unnorm_marginal(p, np.zeros(2))),
+        (HiddenKind.LEAKY_RELU, exact_log_z_orthogonal),
+        (HiddenKind.LEAKY_RELU, quadrature_log_z),
+        (HiddenKind.BERNOULLI, exact_log_z_bernoulli),
+        (HiddenKind.LEAKY_RELU,
+         lambda p: anneal_leakiness_sample(p, _SCHEDULE, 3, make_rng(0))),
+        (HiddenKind.LEAKY_RELU,
+         lambda p: mix_sample(p, np.zeros((3, 2)), _SCHEDULE, make_rng(0))),
+        (HiddenKind.LEAKY_RELU,
+         lambda p: ais_estimate(p, AnnealingPath.leaky(1.0, 3), 4, make_rng(0))),
+    ],
+    ids=[
+        "hidden_conditional", "bernoulli_hidden_conditional", "activation_pattern",
+        "log_unnorm_marginal", "bernoulli_log_unnorm_marginal", "exact_log_z_orthogonal",
+        "quadrature_log_z", "exact_log_z_bernoulli", "anneal_leakiness_sample",
+        "mix_sample", "ais_estimate_leaky_path",
+    ],
+)
+def test_kind_guard_names_the_required_units(kind, entry):
+    # every entry point refuses a model of the other kind with one message form
+    other = HiddenKind.BERNOULLI if kind is HiddenKind.LEAKY_RELU else HiddenKind.LEAKY_RELU
+    p = RbmParams.create(np.full((2, 2), 0.3), hidden_kind=other)
+    with pytest.raises(ValueError, match="requires (leaky|Bernoulli) hidden units"):
+        entry(p)

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leaky_rbm.projection as projection
-from leaky_rbm import LeakyRbmError, RbmParams, is_globally_safe, project_spectral
+from leaky_rbm import (
+    DimensionError,
+    LeakyRbmError,
+    RbmParams,
+    is_globally_safe,
+    project_spectral,
+)
 from leaky_rbm.projection import max_singular_value
 from leaky_rbm.sampler import make_rng
 
@@ -198,6 +204,12 @@ class TestCertificate:
         W *= 2.0
         np.testing.assert_allclose(report.max_singular_value_before, smax, rtol=1e-12)
         assert report.max_singular_value_after == report.max_singular_value_before
+
+
+@pytest.mark.parametrize("fn", [project_spectral, max_singular_value, is_globally_safe])
+def test_weights_that_are_not_a_matrix_rejected(fn):
+    with pytest.raises(DimensionError, match="2-D matrix"):
+        fn(np.ones(3))
 
 
 class TestIsGloballySafe:

@@ -5,6 +5,7 @@ from scipy import stats
 
 from leaky_rbm import (
     AnnealSchedule,
+    DimensionError,
     HiddenKind,
     NonPDRegionError,
     RbmParams,
@@ -158,6 +159,13 @@ class TestGibbsStep:
         _, h = gibbs_step(p, v, make_rng(3))
         assert abs(h.var() - c) < 0.01
 
+    def test_rows_checked_like_training_data(self):
+        p = RbmParams.create(np.full((2, 2), 0.3), leakiness=0.5)
+        with pytest.raises(DimensionError):
+            gibbs_step(p, np.zeros((3, 2, 2)), make_rng(0))
+        with pytest.raises(ValueError, match="at least one row"):
+            gibbs_step(p, np.zeros((0, 2)), make_rng(0))
+
 
 class TestAnnealLeakinessSample:
     def test_degenerate_schedule_matches_base(self, rng):
@@ -213,6 +221,15 @@ class TestMixSample:
         chains = mix_sample(p, row, sched, make_rng(1), n_chains=5)
         assert chains.v.shape == (5, 2)
         np.testing.assert_array_equal(chains.v, np.repeat(row, 5, axis=0))
+
+    def test_one_dimensional_row_is_one_row(self, rng):
+        p = random_safe_params(rng, 2, 2, leakiness=0.3)
+        sched = AnnealSchedule(c_target=0.3, total_steps=4)
+        row = rng.standard_normal(2)
+        flat = mix_sample(p, row, sched, make_rng(1), n_chains=3)
+        stacked = mix_sample(p, row[None, :], sched, make_rng(1), n_chains=3)
+        np.testing.assert_array_equal(flat.v, stacked.v)
+        np.testing.assert_array_equal(flat.h, stacked.h)
 
     def test_degenerate_schedule_equals_cd_chain(self, rng):
         p = random_safe_params(rng, 2, 2, leakiness=0.3)

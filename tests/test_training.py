@@ -41,6 +41,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=float("nan"))
         with pytest.raises(ValueError):
+            TrainConfig(learning_rate=float("inf"))
+        with pytest.raises(ValueError):
+            TrainConfig(weight_decay=float("inf"))
+        with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
