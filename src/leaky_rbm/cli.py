@@ -313,7 +313,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.run(args)
-    except (UsageError, ModelFileError, DataFormatError) as exc:
+    except (UsageError, ModelFileError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NonPDRegionError, DivergentIntegralError, TrainingDivergedError) as exc:

@@ -2,8 +2,8 @@
 
 Two hidden-unit families share one parameter container: leaky rectified
 linear hidden units with Gaussian visibles, and the classic
-Bernoulli-Gaussian variant.  All functions here are pure and accept either
-a single visible vector of shape (I,) or a batch of shape (n, I).
+Bernoulli-Gaussian variant.  All functions here are pure and accept one
+row of shape (I,) or n >= 1 rows of shape (n, I), and nothing else.
 """
 from __future__ import annotations
 
@@ -19,6 +19,11 @@ from .projection import SAFE_TOL, is_globally_safe, max_singular_value
 class HiddenKind(enum.Enum):
     LEAKY_RELU = "leaky_relu"
     BERNOULLI = "bernoulli"
+
+
+def _unit_leakiness(params: RbmParams) -> float | None:
+    """The model's leakiness c, or None for Bernoulli units."""
+    return None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
 
 
 def _readonly(x, dtype=np.float64) -> np.ndarray:
@@ -131,26 +136,19 @@ def _require_kind(params: RbmParams, kind: HiddenKind, what: str) -> None:
         raise ValueError(f"{what} requires {name} hidden units")
 
 
-def _check_visible(params: RbmParams, v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != params.n_visible:
-        raise DimensionError(
-            f"visible vector has dimension {v.shape[-1]}, "
-            f"model expects {params.n_visible}"
-        )
-    return v
+def _check_rows(x, width: int) -> np.ndarray:
+    """``x`` as float64, one row (width,) or n >= 1 rows (n, width)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise DimensionError(f"data has shape {x.shape}, model expects rows of {width}")
+    if x.ndim == 2 and x.shape[0] == 0:
+        raise ValueError("data must have at least one row")
+    return x
 
 
 def _check_data(params: RbmParams, data) -> np.ndarray:
     """``data`` as a float64 (n, I) array with n >= 1 rows of the model's width."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if data.ndim != 2 or data.shape[1] != params.n_visible:
-        raise DimensionError(
-            f"data has shape {data.shape}, model expects rows of {params.n_visible}"
-        )
-    if data.shape[0] == 0:
-        raise ValueError("data must have at least one row")
-    return data
+    return np.atleast_2d(_check_rows(data, params.n_visible))
 
 
 def response(params: RbmParams, v) -> np.ndarray:
@@ -158,7 +156,7 @@ def response(params: RbmParams, v) -> np.ndarray:
 
     Accepts shape (I,) or (n, I); returns (J,) or (n, J).
     """
-    v = _check_visible(params, v)
+    v = _check_rows(v, params.n_visible)
     return v @ params.weights + params.hidden_bias
 
 
@@ -197,18 +195,15 @@ def sigmoid(eta) -> np.ndarray:
 
 def visible_conditional(params: RbmParams, h) -> np.ndarray:
     """Mean of v given h (unit variance per component): a + W h."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != params.n_hidden:
-        raise DimensionError(
-            f"hidden vector has dimension {h.shape[-1]}, "
-            f"model expects {params.n_hidden}"
-        )
+    h = _check_rows(h, params.n_hidden)
     return h @ params.weights.T + params.visible_bias
 
 
 def activation_pattern(params: RbmParams, v) -> ActivationPattern:
     """Branch coefficients alpha_j = 1 if eta_j > 0 else c, for a single v."""
     _require_kind(params, HiddenKind.LEAKY_RELU, "activation_pattern")
+    if np.ndim(v) != 1:
+        raise DimensionError("activation_pattern takes a single visible vector")
     return ActivationPattern(branch_slopes(response(params, v), params.leakiness))
 
 
@@ -248,9 +243,7 @@ def log_unnorm_marginal(params: RbmParams, v, leakiness: float | None = None):
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "log_unnorm_marginal")
     c = params.leakiness if leakiness is None else float(leakiness)
-    v = _check_visible(params, v)
-    quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
-    return log_marginal_from_response(v @ params.weights + params.hidden_bias, quad, c)
+    return _log_marginal(params, v, params.weights, params.hidden_bias, c)
 
 
 def bernoulli_log_unnorm_marginal(params: RbmParams, v):
@@ -260,9 +253,17 @@ def bernoulli_log_unnorm_marginal(params: RbmParams, v):
     -||v - a||^2/2 + sum_j softplus(eta_j).
     """
     _require_kind(params, HiddenKind.BERNOULLI, "bernoulli_log_unnorm_marginal")
-    v = _check_visible(params, v)
+    return _log_marginal(params, v, params.weights, params.hidden_bias, None)
+
+
+def _log_marginal(params: RbmParams, v, W, b, c):
+    """Log unnormalized marginal of the rows v under (W, b, c) and the visible bias.
+
+    c is the leakiness, or None for Bernoulli units (see ``_unit_leakiness``).
+    """
+    v = _check_rows(v, params.n_visible)
     quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
-    return log_marginal_from_response(v @ params.weights + params.hidden_bias, quad, None)
+    return log_marginal_from_response(v @ W + b, quad, c)
 
 
 def log_marginal_from_response(eta, quad, c):

@@ -34,16 +34,13 @@ from .errors import DimensionError, DivergentIntegralError, NonPDRegionError
 from .model import (
     HiddenKind,
     RbmParams,
-    _check_data,
-    _check_visible,
+    _log_marginal,
     _require_kind,
-    bernoulli_log_unnorm_marginal,
+    _unit_leakiness,
     log_marginal_from_response,
-    log_unnorm_marginal,
 )
 from .projection import is_globally_safe
-from .sampler import (LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form,
-                      _sweep, _unit_leakiness)
+from .sampler import LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form, _sweep
 
 
 class PathKind(enum.Enum):
@@ -133,9 +130,7 @@ def _levels(params: RbmParams, kind: PathKind, grid):
 def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v):
     """Log unnormalized density of the intermediate distribution."""
     ((W, b, c),) = _levels(params, kind, [level])
-    v = _check_visible(params, v)
-    quad = 0.5 * np.sum((v - params.visible_bias) ** 2, axis=-1)
-    return log_marginal_from_response(v @ W + b, quad, c)
+    return _log_marginal(params, v, W, b, c)
 
 
 def gaussian_log_z(params: RbmParams) -> float:
@@ -351,9 +346,5 @@ def eval_mean_log_likelihood(params: RbmParams, data, log_z: float) -> float:
     """
     if not math.isfinite(log_z):
         raise ValueError("log_z must be finite")
-    data = _check_data(params, data)
-    if params.hidden_kind is HiddenKind.BERNOULLI:
-        lp = bernoulli_log_unnorm_marginal(params, data)
-    else:
-        lp = log_unnorm_marginal(params, data)
+    lp = _log_marginal(params, data, params.weights, params.hidden_bias, _unit_leakiness(params))
     return float(np.mean(lp) - log_z)

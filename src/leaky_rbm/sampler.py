@@ -14,7 +14,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NonPDRegionError
-from .model import HiddenKind, RbmParams, _check_data, _require_kind, branch_slopes, sigmoid
+from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
+                    branch_slopes, sigmoid)
 from .projection import max_singular_value, safety_from_max_singular_value
 
 # Shrink applied to W when its top singular value is within this margin of
@@ -147,11 +148,6 @@ def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.nd
     v = _check_data(params, v)
     eta = v @ params.weights + params.hidden_bias
     return _sweep(eta, params.weights, params.visible_bias, _unit_leakiness(params), rng)
-
-
-def _unit_leakiness(params: RbmParams) -> float | None:
-    """The c that ``_sweep`` takes: the leakiness, or None for Bernoulli units."""
-    return None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
 
 
 def _sweep(eta, W, a, c, rng) -> tuple[np.ndarray, np.ndarray]:

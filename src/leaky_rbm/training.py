@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import TrainingDivergedError
-from .model import RbmParams, _check_data, branch_slopes, response, sigmoid
+from .model import RbmParams, _check_data, _unit_leakiness, branch_slopes, response, sigmoid
 from .projection import _clip
 from .sampler import (
     AnnealSchedule,
@@ -36,7 +36,6 @@ from .sampler import (
     _gaussian_base,
     _run_annealed,
     _sweep,
-    _unit_leakiness,
 )
 
 
@@ -74,6 +73,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.stop_recon_error is not None and not self.stop_recon_error > 0:
+            raise ValueError(f"stop_recon_error must be > 0, got {self.stop_recon_error}")
         if not isinstance(self.neg_sampler, NegSampler):
             raise ValueError(f"unknown negative sampler {self.neg_sampler!r}")
 

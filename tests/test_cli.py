@@ -287,6 +287,10 @@ class TestMalformedOptions:
                         "--neg-sampler", "leaky-anneal"]),
                 (None, ["estimate-z", "--model", "{bernoulli}", "--path", "leaky"]),
                 (None, ["sample", "--model", "{bernoulli}", "--steps", "0"]),
+                (None, ["train", "--data", "{out}"]),
+                (None, ["estimate-z", "--model", "{out}"]),
+                (None, ["train", "--data", "{data}", "--model-out", "{data}/m.rbm"]),
+                (None, ["--out", "{data}/o", "experiment", "divergence"]),
             ]
         ],
     )

@@ -9,6 +9,7 @@ from leaky_rbm import (
     AnnealSchedule,
     DimensionError,
     HiddenKind,
+    PathKind,
     RbmParams,
     activation_pattern,
     ais_estimate,
@@ -18,6 +19,7 @@ from leaky_rbm import (
     exact_log_z_bernoulli,
     exact_log_z_orthogonal,
     hidden_conditional,
+    intermediate_log_density,
     log_unnorm_marginal,
     mix_sample,
     quadrature_log_z,
@@ -177,6 +179,12 @@ class TestActivationPattern:
         p = RbmParams.create(W, hidden_bias=[3.0, -1.0, 0.0], leakiness=0.2)
         alpha = activation_pattern(p, np.zeros(3)).alpha
         np.testing.assert_allclose(alpha, [1.0, 0.2, 0.2])
+
+    def test_batch_rejected(self):
+        # a pattern belongs to one v; region_precision_mean takes a single (J,) pattern
+        p = RbmParams.create(np.eye(2), leakiness=0.2)
+        with pytest.raises(DimensionError):
+            activation_pattern(p, np.zeros((3, 2)))
 
     def test_c_one_collapses(self, rng):
         p = random_safe_params(rng, 3, 3, leakiness=1.0)
@@ -389,3 +397,30 @@ def test_kind_guard_names_the_required_units(kind, entry):
     p = RbmParams.create(np.full((2, 2), 0.3), hidden_kind=other)
     with pytest.raises(ValueError, match="requires (leaky|Bernoulli) hidden units"):
         entry(p)
+
+
+@pytest.mark.parametrize(
+    "kind, width, entry",
+    [
+        (HiddenKind.LEAKY_RELU, 3, response),
+        (HiddenKind.LEAKY_RELU, 3, hidden_conditional),
+        (HiddenKind.BERNOULLI, 3, bernoulli_hidden_conditional),
+        (HiddenKind.LEAKY_RELU, 3, log_unnorm_marginal),
+        (HiddenKind.BERNOULLI, 3, bernoulli_log_unnorm_marginal),
+        (HiddenKind.LEAKY_RELU, 3,
+         lambda p, v: intermediate_log_density(p, PathKind.LEAKY, 0.5, v)),
+        (HiddenKind.LEAKY_RELU, 2, visible_conditional),
+    ],
+    ids=[
+        "response", "hidden_conditional", "bernoulli_hidden_conditional", "log_unnorm_marginal",
+        "bernoulli_log_unnorm_marginal", "intermediate_log_density", "visible_conditional",
+    ],
+)
+def test_rows_are_one_row_or_a_nonempty_stack(kind, width, entry):
+    # a 3x2 model: width is the visible (3) or hidden (2) row length the function reads
+    p = RbmParams.create(np.full((3, 2), 0.3), hidden_kind=kind)
+    for bad in (np.float64(0.0), np.zeros((2, 4, width))):
+        with pytest.raises(DimensionError):
+            entry(p, bad)
+    with pytest.raises(ValueError, match="at least one row"):
+        entry(p, np.zeros((0, width)))

@@ -598,6 +598,14 @@ class TestEvalMeanLogLikelihood:
         got = eval_mean_log_likelihood(p, data, gaussian_log_z(p))
         assert got == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", [HiddenKind.LEAKY_RELU, HiddenKind.BERNOULLI])
+    def test_mean_score_minus_log_z(self, rng, kind):
+        p = random_safe_params(rng, 3, 2, leakiness=0.2).with_(hidden_kind=kind)
+        leaky = kind is HiddenKind.LEAKY_RELU
+        score = log_unnorm_marginal if leaky else bernoulli_log_unnorm_marginal
+        data = rng.standard_normal((10, 3))
+        assert eval_mean_log_likelihood(p, data, 1.7) == np.mean(score(p, data)) - 1.7
+
     def test_rejects_no_rows(self, rng):
         # the mean of no rows used to come back as a silent NaN
         p = random_safe_params(rng, 3, 2)

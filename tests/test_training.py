@@ -48,6 +48,14 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError):
+            TrainConfig(seed=-1)
+        with pytest.raises(ValueError):
+            TrainConfig(stop_recon_error=float("nan"))
+        with pytest.raises(ValueError):
+            TrainConfig(stop_recon_error=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(stop_recon_error=-1.0)
 
     def test_unknown_negative_sampler_rejected(self):
         with pytest.raises(ValueError, match="unknown negative sampler"):
