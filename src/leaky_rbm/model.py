@@ -239,11 +239,12 @@ def log_unnorm_marginal(params: RbmParams, v, leakiness: float | None = None):
     Equals -||v - a||^2/2 + sum_j f(eta_j) with f(eta) = eta^2/2 on the
     positive branch and c*eta^2/2 otherwise; this is the exact result of
     integrating the hidden units out of the joint.  An explicit
-    ``leakiness`` overrides the model's c.
+    ``leakiness`` overrides the model's c; ValueError unless it is in (0, 1].
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "log_unnorm_marginal")
-    c = params.leakiness if leakiness is None else float(leakiness)
-    return _log_marginal(params, v, params.weights, params.hidden_bias, c)
+    if leakiness is not None:  # checked as the model's own leakiness is
+        params = params.with_(leakiness=leakiness)
+    return _log_marginal(params, v, params.weights, params.hidden_bias, params.leakiness)
 
 
 def bernoulli_log_unnorm_marginal(params: RbmParams, v):

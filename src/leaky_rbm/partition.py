@@ -15,6 +15,12 @@ between the tractable base and the target:
   running from 1 to 0.  Its intermediate models are the leaky path's,
   spaced evenly in beta; it is kept for the equivalence analysis.
 
+An AIS level's sweep and log-weight increment log f_k(v) - log f_{k-1}(v)
+share one pass eta = v W_k + b_k.  After level 1, scored against the base,
+the increment is (c_k - c_{k-1}) sum min(eta, 0)^2 / 2 on leakiness paths.
+On the energy path level k - 1 sees r eta, r = s_{k-1} / s_k, so leaky units
+add (1 - r^2) sum alpha eta^2 / 2, Bernoulli units sum softplus(eta) - softplus(r eta).
+
 With J < I hidden units, AIS anneals the J-visible model on the span of
 W (``_span_model``): every log weight reads v only through Q^T (v - a),
 for W = Q R.  Its ``log_z_base``, the log partition of the distribution
@@ -108,28 +114,39 @@ class LogZEstimate:
 
 
 def _levels(params: RbmParams, kind: PathKind, grid):
-    """(W, b, c) of the intermediate model at each level of ``grid``.
+    """(W, b, c, s) of the intermediate model at each level of ``grid``.
 
     Energy path: geometric interpolation at the joint level is equivalent
-    to scaling W and b by sqrt(1 - beta) for leaky units (the response
-    enters the integrated-out marginal quadratically) and by (1 - beta)
+    to scaling W and b by s = sqrt(1 - beta) for leaky units (the response
+    enters the integrated-out marginal quadratically) and by s = 1 - beta
     for Bernoulli units (it enters linearly), whose c is None.  The leaky
-    path sets c to the level, the one-sided path to beta + (1 - beta) c.
+    path sets c to the level, the one-sided path to beta + (1 - beta) c, at s = 1.
     """
     W, b, c = params.weights, params.hidden_bias, _unit_leakiness(params)
     grid = np.asarray(grid, dtype=np.float64)
     if kind is PathKind.ENERGY:
         scales = 1.0 - grid if c is None else np.sqrt(1.0 - grid)
-        return ((W * s, b * s, c) for s in scales.tolist())
+        return ((W * s, b * s, c, s) for s in scales.tolist())
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     if kind is PathKind.ONE_SIDED:
         grid = grid + (1.0 - grid) * c
-    return ((W, b, c_k) for c_k in grid.tolist())
+    return ((W, b, c_k, 1.0) for c_k in grid.tolist())
+
+
+def _log_weight_step(eta, c, c_prev, r):
+    """log f_k(v) - log f_{k-1}(v) from eta = v W_k + b_k (module docstring)."""
+    if c is None:
+        return np.sum(np.logaddexp(0.0, eta) - np.logaddexp(0.0, r * eta), axis=-1)
+    if r == 1.0:  # leakiness paths
+        neg = np.minimum(eta, 0.0)
+        return 0.5 * (c - c_prev) * np.einsum("ij,ij->i", neg, neg)
+    alpha_eta = np.maximum(eta, 0.0) + c * np.minimum(eta, 0.0)
+    return 0.5 * (1.0 - r * r) * np.einsum("ij,ij->i", alpha_eta, eta)
 
 
 def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v):
     """Log unnormalized density of the intermediate distribution."""
-    ((W, b, c),) = _levels(params, kind, [level])
+    ((W, b, c, _s),) = _levels(params, kind, [level])
     return _log_marginal(params, v, W, b, c)
 
 
@@ -271,11 +288,12 @@ def ais_estimate(
 ) -> LogZEstimate:
     """Annealed importance sampling estimate of the log partition.
 
-    Particles start at the path's base distribution; at each level the
-    log-weight increment is accumulated before running one Gibbs sweep
-    targeting that level.  All reductions stay in the log domain.  Raises
-    ValueError unless n_particles >= 1 and the path ends at ``params``: at
-    its leakiness for the leaky path, at beta = 0 for the others, and
+    Particles start at the path's base distribution.  Each level's one
+    response pass gives its log-weight increment, against the base density
+    at level 1 and in closed form after it (module docstring), and then its
+    Gibbs sweep.  Sums stay in the log domain; one particle has standard
+    error inf.  Raises ValueError unless n_particles >= 1 and the path ends
+    at ``params`` (its leakiness on the leaky path, beta = 0 otherwise), and
     NonPDRegionError unless I - W W^T >= 0 (``_base_sample_and_density``).
 
     When J < I the chain runs on the model of ``_span_model`` (see the
@@ -295,22 +313,18 @@ def ais_estimate(
     if path.grid[-1] != target:
         raise ValueError(f"{kind.value} path ends at {path.grid[-1]:g}, not at {target:g}")
     span, n_dropped_dims = _span_model(params)
-    levels = _levels(span, kind, path.grid[1:])
     v, base_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
     log_z0 += 0.5 * n_dropped_dims * LOG_2PI
     a = span.visible_bias
-    log_w = np.zeros(n_particles)
-    prev_density = base_density(v)
-    quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
-    eta = None
-    for W, b, c in levels:
-        if eta is None or kind is PathKind.ENERGY:  # energy levels scale W and b
-            eta = v @ W + b
-        log_w += log_marginal_from_response(eta, quad, c) - prev_density
-        v, _h = _sweep(eta, W, a, c, rng)
-        quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
+    for k, (W, b, c, s) in enumerate(_levels(span, kind, path.grid[1:])):
         eta = v @ W + b
-        prev_density = log_marginal_from_response(eta, quad, c)
+        if k == 0:  # level 1 is scored against the base density
+            quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
+            log_w = log_marginal_from_response(eta, quad, c) - base_density(v)
+        else:
+            log_w += _log_weight_step(eta, c, c_prev, s_prev / s)
+        v, _h = _sweep(eta, W, a, c, rng)
+        c_prev, s_prev = c, s
 
     finite = np.isfinite(log_w)
     n_dropped = int(n_particles - finite.sum())
@@ -320,19 +334,14 @@ def ais_estimate(
     if log_w.size == 0:
         raise DivergentIntegralError("all AIS particles had non-finite weights")
     m = log_w.size
-    log_mean_w = float(logsumexp(log_w)) - math.log(m)
-    log_z = log_z0 + log_mean_w
-    # normalized weights for diagnostics
-    w_tilde = np.exp(log_w - log_w.max())
-    mean_w = w_tilde.mean()
-    sd_w = w_tilde.std(ddof=1) if m > 1 else 0.0
-    standard_error = float(sd_w / (mean_w * math.sqrt(m)))
-    ess = float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+    log_sum_w = float(logsumexp(log_w))
+    w_tilde = np.exp(log_w - log_w.max())  # normalized weights for diagnostics
+    sd_w = w_tilde.std(ddof=1) if m > 1 else math.inf  # one weight shows no spread
     return LogZEstimate(
-        log_z=log_z,
+        log_z=log_z0 + (log_sum_w - math.log(m)),
         log_weights=log_w,
-        standard_error=standard_error,
-        effective_sample_size=ess,
+        standard_error=float(sd_w / (w_tilde.mean() * math.sqrt(m))),
+        effective_sample_size=float(np.exp(2.0 * log_sum_w - logsumexp(2.0 * log_w))),
         log_z_base=log_z0,
         n_dropped=n_dropped,
     )

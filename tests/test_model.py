@@ -282,6 +282,13 @@ class TestLogUnnormMarginal:
         direct = float(log_unnorm_marginal(p.with_(leakiness=0.5), v))
         assert override == direct
 
+    @pytest.mark.parametrize("leakiness", [np.nan, 5.0, -3.0, 0.0])
+    def test_leakiness_override_outside_unit_interval(self, rng, leakiness):
+        # an override the model itself would refuse used to score silently
+        p = random_safe_params(rng, 2, 2, leakiness=0.1)
+        with pytest.raises(ValueError, match="leakiness must be in"):
+            log_unnorm_marginal(p, rng.standard_normal(2), leakiness=leakiness)
+
     def test_batch_matches_loop(self, rng):
         p = random_safe_params(rng, 2, 3)
         batch = rng.standard_normal((9, 2))

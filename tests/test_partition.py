@@ -332,6 +332,15 @@ class TestAisEstimate:
         assert a.log_z == b.log_z
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
 
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_single_particle_has_no_standard_error(self, rng, kind):
+        # one weight shows no spread: the error used to read 0.0, as if exact
+        p = random_safe_params(rng, 3, 2, leakiness=0.2)
+        est = ais_estimate(p, _path(kind, p, 10), 1, make_rng(2))
+        assert math.isfinite(est.log_z) and est.log_weights.shape == (1,)
+        assert est.standard_error == math.inf
+        assert est.effective_sample_size == pytest.approx(1.0)
+
     def test_rejects_no_particles(self):
         p = RbmParams.create(np.eye(3, 2) * 0.5, leakiness=0.1)
         for n in (0, -1):
@@ -415,47 +424,78 @@ def _reference_log_weights(p, path, n_particles, seed):
     return log_w
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (v, h) of every Gibbs sweep, from the AIS loop and ``gibbs_step`` alike."""
+    import leaky_rbm.partition as partition
+    import leaky_rbm.sampler as sampler
+
+    record = []
+    sweep = sampler._sweep
+
+    def spy(*args):
+        record.append(sweep(*args))
+        return record[-1]
+
+    monkeypatch.setattr(partition, "_sweep", spy)
+    monkeypatch.setattr(sampler, "_sweep", spy)
+    return record
+
+
+def _bernoulli_params(rng, n_visible, n_hidden):
+    W = random_safe_params(rng, n_visible, n_hidden, max_norm=0.8).weights
+    return RbmParams.create(W, hidden_bias=rng.uniform(-1.0, 1.0, n_hidden),
+                            visible_bias=rng.uniform(-1.0, 1.0, n_visible),
+                            hidden_kind=HiddenKind.BERNOULLI)
+
+
 class TestAisKernel:
-    """ais_estimate runs the level loop on raw arrays, bit for bit, on the
-    span model when J < I and on the model itself otherwise."""
+    """ais_estimate runs the level loop on raw arrays, on the span model
+    when J < I and on the model itself otherwise: every sweep state is
+    the reference loop's bit for bit.  The log weights sum closed-form
+    increments where the reference takes differences of marginals, so
+    they agree to rounding (worst seen 4.5e-15)."""
 
     @pytest.fixture
     def leaky(self, rng):
         p = random_safe_params(rng, 5, 3, leakiness=0.1, max_norm=0.9)
         return p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
 
-    @pytest.mark.parametrize("kind", list(PathKind))
-    def test_leaky_log_weights_match_reference_loop(self, leaky, kind):
-        path = _path(kind, leaky, 30)
-        est = ais_estimate(leaky, path, 40, make_rng(12))
+    @staticmethod
+    def _check(sweeps, p, path, seed):
+        est = ais_estimate(p, path, 40, make_rng(seed))
+        ais_sweeps = sweeps[:]
+        sweeps.clear()
+        reference = _reference_log_weights(_span_model(p)[0], path, 40, seed)
+        assert len(ais_sweeps) == len(sweeps) == len(path.grid) - 1
+        for (v, h), (v_ref, h_ref) in zip(ais_sweeps, sweeps):
+            np.testing.assert_array_equal(v, v_ref)
+            np.testing.assert_array_equal(h, h_ref)
         assert est.n_dropped == 0
-        np.testing.assert_array_equal(
-            est.log_weights, _reference_log_weights(_span_model(leaky)[0], path, 40, 12)
-        )
+        np.testing.assert_allclose(est.log_weights, reference, rtol=0, atol=1e-11)
 
-    def test_bernoulli_log_weights_match_reference_loop(self, rng):
-        W = random_safe_params(rng, 4, 3, max_norm=0.8).weights
-        p = RbmParams.create(W, hidden_bias=rng.uniform(-1.0, 1.0, 3),
-                             visible_bias=rng.uniform(-1.0, 1.0, 4),
-                             hidden_kind=HiddenKind.BERNOULLI)
-        path = AnnealingPath.energy(30)
-        est = ais_estimate(p, path, 40, make_rng(13))
-        np.testing.assert_array_equal(
-            est.log_weights, _reference_log_weights(_span_model(p)[0], path, 40, 13)
-        )
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_leaky_log_weights_match_reference_loop(self, sweeps, leaky, kind):
+        self._check(sweeps, leaky, _path(kind, leaky, 30), 12)
+
+    def test_bernoulli_log_weights_match_reference_loop(self, sweeps, rng):
+        p = _bernoulli_params(rng, 4, 3)
+        self._check(sweeps, p, AnnealingPath.energy(30), 13)
+
+    @pytest.mark.parametrize("n_hidden", [3, 4])
+    def test_bernoulli_no_span_reduction_when_j_reaches_i(self, sweeps, rng, n_hidden):
+        p = _bernoulli_params(rng, 3, n_hidden)
+        assert _span_model(p)[0] is p
+        self._check(sweeps, p, AnnealingPath.energy(30), 16)
 
     @pytest.mark.parametrize("kind", list(PathKind))
     @pytest.mark.parametrize("n_hidden", [3, 4])
-    def test_no_span_reduction_when_j_reaches_i(self, rng, kind, n_hidden):
+    def test_no_span_reduction_when_j_reaches_i(self, sweeps, rng, kind, n_hidden):
         p = random_safe_params(rng, 3, n_hidden, leakiness=0.1, max_norm=0.9)
         p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 3))
         span, n_dropped_dims = _span_model(p)
         assert span is p and n_dropped_dims == 0
-        path = _path(kind, p, 30)
-        est = ais_estimate(p, path, 40, make_rng(15))
-        np.testing.assert_array_equal(
-            est.log_weights, _reference_log_weights(p, path, 40, 15)
-        )
+        self._check(sweeps, p, _path(kind, p, 30), 15)
 
     def test_models_built_do_not_grow_with_levels(self, leaky, monkeypatch):
         built = []
@@ -474,6 +514,28 @@ class TestAisKernel:
                 counts[kind, n_levels] = len(built)
             assert counts[kind, 10] == counts[kind, 100], counts
 
+    def test_marginals_scored_do_not_grow_with_levels(self, leaky, rng, monkeypatch):
+        # level 1 scores against the base; later levels add closed forms
+        import leaky_rbm.partition as partition
+
+        calls = []
+        score = partition.log_marginal_from_response
+
+        def counting(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(partition, "log_marginal_from_response", counting)
+        cases = [(leaky, kind) for kind in PathKind]
+        cases.append((_bernoulli_params(rng, 4, 3), PathKind.ENERGY))
+        for p, kind in cases:
+            counts = []
+            for n_levels in (10, 100):
+                calls.clear()
+                ais_estimate(p, _path(kind, p, n_levels), 8, make_rng(14))
+                counts.append(len(calls))
+            assert counts[0] == counts[1], (p.hidden_kind, kind, counts)
+
     @pytest.mark.parametrize(
         "path",
         [
@@ -489,6 +551,62 @@ class TestAisKernel:
         p = random_orthogonal_params(4, 2, 0.01, np.random.default_rng(0))
         with pytest.raises(ValueError, match="path ends at 0.5"):
             ais_estimate(p, path, 16, make_rng(0))
+
+
+def _increment_cases():
+    """Leaky models on every path and Bernoulli ones on the energy path, with
+    J < I and J > I, at sigma_max 0.9 and on the boundary sigma_max = 1."""
+    g = np.random.default_rng(21)
+    cases = []
+    for shape in ((5, 3), (3, 4)):
+        strict = g.uniform(-1.0, 1.0, shape)
+        strict *= 0.9 / np.linalg.svd(strict, compute_uv=False)[0]
+        boundary, _ = project_spectral(2.0 * g.standard_normal(shape))
+        for name, W in (("strict", strict), ("boundary", boundary)):
+            leaky = RbmParams.create(W, hidden_bias=g.uniform(-1.0, 1.0, shape[1]),
+                                     visible_bias=g.uniform(-1.0, 1.0, shape[0]),
+                                     leakiness=0.05)
+            bernoulli = leaky.with_(hidden_kind=HiddenKind.BERNOULLI)
+            tag = f"{shape[0]}x{shape[1]}-{name}"
+            cases += [pytest.param(leaky, kind, id=f"{tag}-{kind.value}") for kind in PathKind]
+            cases.append(pytest.param(bernoulli, PathKind.ENERGY, id=f"{tag}-bernoulli"))
+    return cases
+
+
+class TestLogWeightIncrements:
+    """The loop adds, at each level k, log f_k(v) - log f_{k-1}(v) at the
+    state v it reads: against the base density at level 1, and in closed
+    form from the level's responses after that.  Each closed form agrees
+    with the difference of ``intermediate_log_density`` to 1e-12 of the
+    densities; that difference itself loses digits to cancellation."""
+
+    @pytest.mark.parametrize("p, kind", _increment_cases())
+    def test_each_increment_is_a_density_difference(self, sweeps, monkeypatch, p, kind):
+        import leaky_rbm.partition as partition
+
+        steps = []
+        step = partition._log_weight_step
+
+        def spy(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(partition, "_log_weight_step", spy)
+        path = _path(kind, p, 20)
+        est = ais_estimate(p, path, 50, make_rng(8))
+        span = _span_model(p)[0]
+        density = lambda k, v: intermediate_log_density(span, kind, path.grid[k], v)
+        v0, base_density, _ = _base_sample_and_density(span, kind, 50, make_rng(8))
+        if kind is not PathKind.ENERGY and p.max_singular_value() > 1.0 - 1e-6:
+            # the leaky base is the shrunk c = 1 model, not level 0
+            assert not np.allclose(base_density(v0), density(0, v0), rtol=1e-9)
+        first = density(1, v0) - base_density(v0)
+        assert len(steps) == len(sweeps) - 1 == len(path.grid) - 2
+        for k, (increment, (v, _h)) in enumerate(zip(steps, sweeps), start=2):
+            high, low = density(k, v), density(k - 1, v)
+            scale = np.maximum(np.abs(high), np.abs(low))
+            np.testing.assert_array_less(np.abs(increment - (high - low)), 1e-12 * scale)
+        np.testing.assert_allclose(est.log_weights, first + np.sum(steps, axis=0), rtol=1e-12)
 
 
 def _span_log_z(oracle, p):
