@@ -4,11 +4,12 @@ Subcommands: train, sample, estimate-z, eval-ll, experiment.  A flat
 key=value config file can pre-populate any option, and argparse checks
 its values exactly like flags; explicit command-line flags win over the
 file.  Exit codes: 0 success, 1 usage or file error, 2 numerical failure
-(divergence, non-PD constraint).
+(divergence, non-PD constraint, a failed LAPACK routine).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -41,6 +42,21 @@ _PATHS = {
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _options_checked():
+    """Turn a ValueError, which rejects an option combination, into UsageError.
+
+    numpy's LinAlgError subclasses ValueError but is a numerical failure,
+    so it passes through to ``main``.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,7 +212,7 @@ def _cmd_train(args) -> int:
     W0 = make_rng(args.seed, 1).uniform(
         0.0, 0.01, size=(dataset.matrix.shape[1], args.hidden)
     )
-    try:
+    with _options_checked():
         tc = TrainConfig(
             cd_steps=args.cd_steps,
             learning_rate=args.learning_rate,
@@ -218,8 +234,6 @@ def _cmd_train(args) -> int:
         # train's ValueError rejects an option combination: an annealed
         # negative phase for Bernoulli hidden units
         model, log = train(params0, dataset.matrix, tc)
-    except ValueError as exc:
-        raise UsageError(exc) from None
     model_out = args.model_out or str(args.out / "model.rbm")
     Path(model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(
@@ -236,10 +250,8 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     params, _prov = load_model(args.model)
     schedule = AnnealSchedule(c_target=params.leakiness, total_steps=args.steps)
-    try:
+    with _options_checked():  # a Bernoulli model has no leakiness to anneal
         chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
-    except ValueError as exc:  # a Bernoulli model has no leakiness to anneal
-        raise UsageError(exc) from None
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "samples.csv"
     np.savetxt(out, chains.v, delimiter=",", fmt="%.12g")
@@ -249,10 +261,8 @@ def _cmd_sample(args) -> int:
 
 def _estimate(params, args):
     path = _PATHS[args.path](params.leakiness, args.levels)
-    try:
+    with _options_checked():  # a leakiness path for Bernoulli hidden units
         return ais_estimate(params, path, args.particles, make_rng(args.seed, 3))
-    except ValueError as exc:  # a leakiness path for Bernoulli hidden units
-        raise UsageError(exc) from None
 
 
 def _cmd_estimate_z(args) -> int:
@@ -316,7 +326,9 @@ def main(argv=None) -> int:
     except (UsageError, ModelFileError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonPDRegionError, DivergentIntegralError, TrainingDivergedError) as exc:
+    except (
+        NonPDRegionError, DivergentIntegralError, TrainingDivergedError, np.linalg.LinAlgError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except LeakyRbmError as exc:

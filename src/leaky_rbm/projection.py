@@ -6,13 +6,16 @@ of W at 1.  The projection works on the smaller Gram matrix G of W.  A
 Cholesky factorization of a slightly shrunk (1 - delta) I - G certifies
 most matrices feasible as they are, with no eigensolve; the rest get one
 eigensolve, for only the eigenpairs above 1, which also corrects them.
+
+Only the certificate and the clip need scipy, and they import it when
+they run: sigma_max alone comes from numpy, so sampling and AIS load no
+scipy.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DimensionError, LeakyRbmError
 
@@ -61,10 +64,15 @@ def project_spectral(W) -> tuple[np.ndarray, ProjectionReport]:
     Returns the projected matrix and a report.  Matrices already inside
     the feasible set come back unchanged (same values, new array).
     """
+    return _clip(_finite(W))
+
+
+def _finite(W) -> np.ndarray:
+    """W as float64, or LeakyRbmError when an entry is NaN or infinite."""
     W = np.asarray(W, dtype=np.float64)
     if not np.isfinite(W).all():
-        raise LeakyRbmError("cannot project a matrix with non-finite entries")
-    return _clip(W)
+        raise LeakyRbmError("weights have non-finite entries")
+    return W
 
 
 def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -84,10 +92,9 @@ def _scaled_gram(W: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 
 def _top_singular_value(gram: np.ndarray, exp: int) -> float:
     """sigma_max of W from its scaled Gram matrix, by its top eigenvalue."""
-    n = gram.shape[0]
-    if n == 0:
+    if gram.shape[0] == 0:
         return 0.0
-    top = linalg.eigh(gram, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0]
+    top = np.linalg.eigvalsh(gram)[-1]
     return float(np.ldexp(np.sqrt(max(top, 0.0)), exp))
 
 
@@ -98,6 +105,8 @@ def _certifies(gram: np.ndarray, exp: int) -> bool:
     the error of computing it, so ``_top_singular_value`` would also have
     found sigma_max <= 1.  False proves nothing.
     """
+    from scipy import linalg
+
     n = gram.shape[0]
     # A Cholesky of A that runs to completion in floating point gives R with
     # R^T R = A + dA, |dA| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and
@@ -126,13 +135,18 @@ def _certifies(gram: np.ndarray, exp: int) -> bool:
 
 
 def max_singular_value(W) -> float:
-    """Largest singular value of W, without a full SVD."""
-    _, exp, gram = _scaled_gram(np.asarray(W, dtype=np.float64))
+    """Largest singular value of W, without a full SVD.
+
+    Raises LeakyRbmError when W has a NaN or infinite entry.
+    """
+    _, exp, gram = _scaled_gram(_finite(W))
     return _top_singular_value(gram, exp)
 
 
 def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
     """``project_spectral`` of a finite float64 W."""
+    from scipy import linalg
+
     T, exp, gram = _scaled_gram(W)  # T is corrected in place below
     if _certifies(gram, exp):
         return W.copy(), ProjectionReport(0, None, gram, exp)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NonPDRegionError
 from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
@@ -124,9 +123,13 @@ def _gaussian_base(W, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
 
 
 def _draw_base(mean, chol_prec, n: int, rng) -> np.ndarray:
-    """n draws mean + L^-T z, z standard normal, of shape (n, I)."""
+    """n draws mean + L^-T z, z standard normal, of shape (n, I).
+
+    L^T is upper triangular, so the LU inside numpy's general solve
+    pivots nothing and the solve is a triangular one; it needs no scipy.
+    """
     z = rng.standard_normal((n, mean.size))
-    return mean + solve_triangular(chol_prec.T, z.T, lower=False).T
+    return mean + np.linalg.solve(chol_prec.T, z.T).T
 
 
 def gaussian_base_moments(params: RbmParams) -> tuple[np.ndarray, np.ndarray]:

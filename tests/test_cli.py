@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaky_rbm import HiddenKind, RbmParams, save_model, write_raw_f32
-from leaky_rbm import cli
+from leaky_rbm import HiddenKind, RbmParams, project_spectral, save_model, write_raw_f32
+from leaky_rbm import cli, projection
 from leaky_rbm.cli import build_parser, main, read_config
 from leaky_rbm.data_io import load_model
 
@@ -107,6 +108,40 @@ class TestExitCodes:
         save_model(model, p)
         rc = main(["--out", str(tmp_path), "sample", "--model", str(model), "--n", "5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--model", "m.rbm", "--n", "5", "--steps", "2"],
+        ["estimate-z", "--model", "m.rbm", "--path", "leaky", "--levels", "3",
+         "--particles", "5"],
+        ["estimate-z", "--model", "m.rbm", "--path", "energy", "--levels", "3",
+         "--particles", "5"],
+        ["train", "--data", "d.csv", "--hidden", "2", "--epochs", "1",
+         "--neg-sampler", "leaky-anneal"],
+    ], ids=["sample", "estimate-z-leaky", "estimate-z-energy", "train-leaky-anneal"])
+    def test_lapack_failure_is_exit_2(self, tmp_path, rng, capsys, monkeypatch, argv):
+        # LinAlgError subclasses ValueError, but it is a numerical failure,
+        # not a rejected option
+        save_model(tmp_path / "m.rbm", random_safe_params(rng, 3, 2, max_norm=0.7))
+        _write_data(tmp_path / "d.csv", rng)
+        monkeypatch.chdir(tmp_path)
+
+        def fail(*args):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr(projection, "_top_singular_value", fail)
+        assert main(["--out", str(tmp_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: Internal Error.\n"
+
+    def test_sample_where_the_subset_eigensolve_failed(self, tmp_path, capsys):
+        # LAPACK's dsyevr raised LinAlgError("Internal Error.") on this
+        # projected 64 x 16 model, and sample exited 1
+        g = np.random.default_rng(188)
+        W = project_spectral(g.standard_normal((64, 16)) * g.uniform(0.05, 1.0) * 2 / 8)[0]
+        save_model(tmp_path / "m.rbm", RbmParams.create(W))
+        argv = ["sample", "--model", str(tmp_path / "m.rbm"), "--n", "20", "--steps", "10"]
+        assert main(["--out", str(tmp_path), *argv]) == 0
+        assert np.isfinite(np.loadtxt(tmp_path / "samples.csv", delimiter=",")).all()
 
 
 class TestTrainCommand:
@@ -332,21 +367,90 @@ def test_leaky_anneal_trains_from_an_infeasible_initial_draw(tmp_path, rng):
     assert model.is_safe()
 
 
-def test_import_loads_no_oracle_modules():
-    # only the quadrature oracle, AIS and the enumeration oracle use them,
-    # so importing the CLI must not pay for scipy.integrate (and the
-    # scipy.optimize it pulls in) or scipy.special
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_import_loads_no_oracle_modules():
+    # only training's projection and the quadrature oracle use scipy, and
+    # import it on first use, so importing the CLI loads no scipy module:
+    # not scipy.linalg, scipy.integrate (and the scipy.optimize it pulls
+    # in) or scipy.special
     code = (
         "import sys, leaky_rbm.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+        check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+# Each command's argv, run from the directory that holds m.rbm and d.csv.
+_NUMPY_ONLY_COMMANDS = {
+    f"estimate-z-{path}": [
+        "estimate-z", "--model", "m.rbm", "--path", path, "--levels", "20",
+        "--particles", "50",
+    ]
+    for path in ("leaky", "energy", "one-sided")
+} | {
+    "eval-ll": ["eval-ll", "--model", "m.rbm", "--data", "d.csv", "--levels", "20",
+                "--particles", "50"],
+    "eval-ll-log-z": ["eval-ll", "--model", "m.rbm", "--data", "d.csv", "--log-z", "2.5"],
+    "sample": ["sample", "--model", "m.rbm", "--n", "8", "--steps", "5"],
+}
+
+# Runs every command with its own --out directory and writes its exit code
+# and stdout there; with "blocked" first, no scipy module can be imported.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from pathlib import Path
+from leaky_rbm.cli import main
+for name, argv in json.loads(sys.argv[2]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["--seed", "3", "--out", name, *argv])
+    Path(name).mkdir(exist_ok=True)
+    Path(name, "stdout.txt").write_text(f"exit {rc}\\n{out.getvalue()}")
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_only_runs(tmp_path_factory):
+    """Outputs of every command, run with scipy blocked and unblocked."""
+    g = np.random.default_rng(21)
+    p = random_safe_params(g, 3, 2, leakiness=0.2, max_norm=0.8)
+    p = p.with_(visible_bias=g.uniform(-0.5, 0.5, 3))
+    runs = {}
+    for mode in ("blocked", "unblocked"):
+        here = tmp_path_factory.mktemp(mode)
+        save_model(here / "m.rbm", p)
+        _write_data(here / "d.csv", np.random.default_rng(22), n=30, cols=3)
+        subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, mode, json.dumps(_NUMPY_ONLY_COMMANDS)],
+            env=_src_env(), cwd=here, check=True,
+        )
+        runs[mode] = here
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_ONLY_COMMANDS))
+def test_command_runs_without_scipy(numpy_only_runs, name):
+    # estimate-z, eval-ll and sample need numpy alone, and give the same
+    # bytes with scipy blocked as without
+    outputs = {
+        mode: {f.name: f.read_bytes() for f in sorted((here / name).iterdir())}
+        for mode, here in numpy_only_runs.items()
+    }
+    status, _, printed = outputs["blocked"]["stdout.txt"].partition(b"\n")
+    assert status == b"exit 0" and printed
+    assert outputs["blocked"] == outputs["unblocked"]
 
 
 _FUZZ = settings(derandomize=True, deadline=None, max_examples=150)

@@ -19,20 +19,16 @@ from leaky_rbm import (
     project_spectral,
     quadrature_log_z,
 )
-from leaky_rbm.experiments import (
-    mixing_task_data,
-    random_orthogonal_params,
-    train_mixing_method,
-)
+from leaky_rbm.experiments import random_orthogonal_params
 from leaky_rbm.model import bernoulli_log_unnorm_marginal, log_unnorm_marginal
 from leaky_rbm.partition import (
     PathKind,
     _base_sample_and_density,
+    _logsumexp,
     _span_model,
     intermediate_log_density,
 )
 from leaky_rbm.sampler import gibbs_step, make_rng, sample_gaussian_base
-from leaky_rbm.training import NegSampler
 
 from conftest import random_orthogonal, random_safe_params
 
@@ -124,25 +120,22 @@ class TestQuadrature:
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(p)
 
-    def test_massless_box_raises_divergent(self):
-        # two sweeps of leaky-anneal training on mixing task 21 leave
-        # I - WW^T with an eigenvalue of order -1e-16, whose eigenvector
-        # lies inside the all-active sector: the marginal diverges along it
-        data = mixing_task_data(21)
-        model = train_mixing_method(21, NegSampler.LEAKY_ANNEAL, data, epochs=2)[0]
-        with pytest.raises(DivergentIntegralError):
-            quadrature_log_z(model, 1e-7)
-
-    def test_boundary_ray_between_fan_rays_raises_divergent(self):
-        # I - WW^T has eigenvalue -5e-17 along a single ray inside the
-        # all-active sector; no finite sample of rays need hit it, but the
-        # sector's eigenvector does
-        model = RbmParams.create(
-            [[-0.0026230582707979407, -0.061278519983755636],
-             [-0.18480291766847093, -0.9808988392441866]],
-            hidden_bias=[-45.737490126577754, -243.47703708217426],
-            leakiness=0.01,
-        )
+    @pytest.mark.parametrize("W, b", [
+        ([[-0.0026230582707979407, -0.061278519983755636],
+          [-0.18480291766847093, -0.9808988392441866]],
+         [-45.737490126577754, -243.47703708217426]),
+        # the model two sweeps of leaky-anneal training on mixing task 21
+        # ended at before sigma_max came from numpy's eigvalsh: a massless
+        # box, with an eigenvalue of I - WW^T of -1.6e-16
+        ([[-0.0026230601841512003, -0.06127852630729107],
+          [-0.1848029315407061, -0.9808988362318122]],
+         [-45.737492533513425, -243.47707271671771]),
+    ], ids=["fan-ray", "massless-box"])
+    def test_boundary_ray_between_fan_rays_raises_divergent(self, W, b):
+        # I - WW^T has an eigenvalue of order -1e-16 along a single ray
+        # inside the all-active sector; no finite sample of rays need hit
+        # it, but the sector's eigenvector does
+        model = RbmParams.create(W, hidden_bias=b, leakiness=0.01)
         with pytest.raises(DivergentIntegralError):
             quadrature_log_z(model, 1e-7)
 
@@ -375,7 +368,8 @@ class TestAisEstimate:
 
     @pytest.mark.parametrize("kind", [PathKind.LEAKY, PathKind.ONE_SIDED])
     def test_one_factorisation_per_call(self, kind, monkeypatch):
-        # the c = 1 base gives draws and log Z from one Cholesky and one solve
+        # the c = 1 base gives draws and log Z from one Cholesky: one solve
+        # on Omega for the mean, one on L^T for the draws
         calls = dict.fromkeys(["cholesky", "solve", "slogdet"], 0)
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -387,7 +381,7 @@ class TestAisEstimate:
                   random_orthogonal(make_rng(7), 16, 16, 0.1)):
             calls.update(dict.fromkeys(calls, 0))
             ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
-            assert calls == {"cholesky": 1, "solve": 1, "slogdet": 0}, p.weights.shape
+            assert calls == {"cholesky": 1, "solve": 2, "slogdet": 0}, p.weights.shape
 
 
 def _path(kind, p, n_levels):
@@ -736,3 +730,39 @@ class TestEvalMeanLogLikelihood:
         p = random_safe_params(rng, 2, 2)
         with pytest.raises(ValueError):
             eval_mean_log_likelihood(p, np.zeros((1, 2)), float("nan"))
+
+
+class TestLogSumExp:
+    """``_logsumexp`` is scipy.special.logsumexp, bit for bit, on finite 1-D input."""
+
+    @staticmethod
+    def _assert_same_bits(x):
+        from scipy.special import logsumexp
+
+        assert _logsumexp(x) == float(logsumexp(x)), x
+
+    def test_random_vectors(self):
+        g = np.random.default_rng(16)
+        for _ in range(2000):
+            n = int(g.integers(1, 400))
+            self._assert_same_bits(g.standard_normal(n) * g.uniform(0.01, 60.0) + g.normal(0, 50))
+
+    def test_ties_at_the_max(self):
+        g = np.random.default_rng(17)
+        for ties in range(2, 9):
+            x = g.standard_normal(50)
+            x[g.choice(50, ties, replace=False)] = x.max() + 0.5
+            self._assert_same_bits(x)
+        self._assert_same_bits(np.zeros(7))
+        self._assert_same_bits(np.round(g.standard_normal(300) * 3.0))
+
+    def test_one_element(self):
+        for value in (0.0, -3.5, 7e10, -1e300, 1e300):
+            self._assert_same_bits(np.array([value]))
+            assert _logsumexp(np.array([value])) == value
+
+    @pytest.mark.parametrize("offset", [1e300, -1e300])
+    def test_offsets_near_the_float_limits(self, offset):
+        g = np.random.default_rng(18)
+        for _ in range(200):
+            self._assert_same_bits(g.standard_normal(int(g.integers(1, 60))) * 40.0 + offset)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from leaky_rbm import (
     project_spectral,
 )
 from leaky_rbm.projection import max_singular_value
-from leaky_rbm.sampler import make_rng
+from leaky_rbm.sampler import make_rng, sample_gaussian_base
 
 
 class TestProjectSpectral:
@@ -143,15 +145,17 @@ def _with_singular_values(shape, s, seed):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The scipy.linalg.eigh calls the projection module makes."""
+    """The eigensolves the projection module makes: scipy.linalg.eigh in the
+    clip, np.linalg.eigvalsh for sigma_max alone."""
+    from scipy import linalg
+
     calls = []
-    eigh = projection.linalg.eigh
+    for module, name in ((linalg, "eigh"), (np.linalg, "eigvalsh")):
+        def counting(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(kwargs)
+            return _fn(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(projection.linalg, "eigh", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -244,3 +248,29 @@ def test_property_projection_idempotent(seed):
     once, _ = project_spectral(W)
     twice, _ = project_spectral(once)
     np.testing.assert_allclose(twice, once, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [projection.max_singular_value, projection.is_globally_safe])
+def test_non_finite_weights_raise_without_a_warning(fn, value):
+    W = np.full((3, 2), 0.1)
+    W[1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LeakyRbmError, match="non-finite") as excinfo:
+            fn(W)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("seed", [188, 298, 394])
+def test_projected_models_where_the_subset_eigensolve_failed(seed):
+    # on these projected 64 x 16 models LAPACK's dsyevr, behind scipy's
+    # eigh(subset_by_index=...), raised LinAlgError("Internal Error.")
+    rng = np.random.default_rng(seed)
+    W = project_spectral(rng.standard_normal((64, 16)) * rng.uniform(0.05, 1.0) * 2 / 8)[0]
+    np.testing.assert_allclose(
+        max_singular_value(W), np.linalg.svd(W, compute_uv=False)[0], rtol=1e-12
+    )
+    assert is_globally_safe(W)[0]
+    draws = sample_gaussian_base(RbmParams.create(W), 50, make_rng(seed))
+    assert np.isfinite(draws).all()
