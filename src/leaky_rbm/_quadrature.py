@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.special import erfcx, log_ndtr
 
 from .errors import DivergentIntegralError
-from .model import region_precision
+from .model import branch_slopes, region_precision
 from .partition import LOG_2PI
 
 _DIVERGES = "unnormalized marginal diverges along a ray (asymptotic precision {:.3e})"
@@ -83,7 +83,7 @@ def _check_sectors(W: np.ndarray, c: float, rays: np.ndarray) -> None:
     ends = np.append(rays, rays[:1] + 2.0 * np.pi)
     lo, hi = ends[:-1][np.diff(ends) > 0.0], ends[1:][np.diff(ends) > 0.0]
     unit = lambda theta: np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    omega = region_precision(W, np.where(unit((lo + hi) / 2) @ W > 0.0, 1.0, c))
+    omega = region_precision(W, branch_slopes(unit((lo + hi) / 2) @ W, c))
     form = lambda theta: np.einsum("ni,nij,nj->n", unit(theta), omega, unit(theta))
     vals, vecs = np.linalg.eigh(omega)
     inside = np.mod(np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) - lo, np.pi) < hi - lo
@@ -118,7 +118,7 @@ def _plane_log_z(W: np.ndarray, b: np.ndarray, c: float, epsrel: float) -> float
         [t[0] - 1, *((s + u) / 2 for s, u in zip(t, t[1:])), t[-1] + 1] if t else [0])
     pts = [(x, y) for x in inside(sorted(kinks))
            for y in inside(sorted(-(u * x + v) / s for u, s, v in zip(w0, w1, bs) if s))]
-    alpha = np.unique(np.where(np.array(pts) @ W + b > 0.0, 1.0, c), axis=0)
+    alpha = np.unique(branch_slopes(np.array(pts) @ W + b, c), axis=0)
     omega = region_precision(W, alpha)
     pd = np.linalg.eigvalsh(omega)[:, 0] > 0.0
     omega, rhs = omega[pd], (alpha[pd] * b) @ W.T

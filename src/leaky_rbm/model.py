@@ -161,8 +161,12 @@ def response(params: RbmParams, v) -> np.ndarray:
 
 
 def branch_slopes(eta, c) -> np.ndarray:
-    """1 where the response eta > 0, else the leakiness c (eta == 0 is leaky)."""
-    return np.where(eta > 0, 1.0, c)
+    """1 where the response eta > 0, else the leakiness c (eta == 0 is leaky).
+
+    A maximum, as c <= 1 allows: a select on random signs is several
+    times slower.
+    """
+    return np.maximum(eta > 0, c)
 
 
 def hidden_conditional(params: RbmParams, v):
@@ -184,12 +188,15 @@ def bernoulli_hidden_conditional(params: RbmParams, v) -> np.ndarray:
 
 
 def sigmoid(eta) -> np.ndarray:
-    """Overflow-safe logistic function of an array."""
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
+    """Overflow-safe logistic function of an array, without branches.
+
+    With e = exp(-|eta|) <= 1 it is 1 / (1 + e) for eta >= 0 and
+    e / (1 + e) otherwise, so the numerator is max(eta >= 0, e).
+    """
+    e = np.exp(-np.abs(eta))
+    out = np.maximum(eta >= 0, e)
+    e += 1.0
+    out /= e
     return out
 
 

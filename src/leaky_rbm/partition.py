@@ -43,6 +43,7 @@ from .model import (
     _log_marginal,
     _require_kind,
     _unit_leakiness,
+    branch_slopes,
     log_marginal_from_response,
 )
 from .projection import is_globally_safe
@@ -139,9 +140,14 @@ def _log_weight_step(eta, c, c_prev, r):
         return np.sum(np.logaddexp(0.0, eta) - np.logaddexp(0.0, r * eta), axis=-1)
     if r == 1.0:  # leakiness paths
         neg = np.minimum(eta, 0.0)
-        return 0.5 * (c - c_prev) * np.einsum("ij,ij->i", neg, neg)
-    alpha_eta = np.maximum(eta, 0.0) + c * np.minimum(eta, 0.0)
-    return 0.5 * (1.0 - r * r) * np.einsum("ij,ij->i", alpha_eta, eta)
+        step = np.einsum("ij,ij->i", neg, neg)
+        step *= 0.5 * (c - c_prev)
+        return step
+    alpha_eta = branch_slopes(eta, c)
+    alpha_eta *= eta
+    step = np.einsum("ij,ij->i", alpha_eta, eta)
+    step *= 0.5 * (1.0 - r * r)
+    return step
 
 
 def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v):
@@ -312,6 +318,7 @@ def ais_estimate(
     v, base_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
     log_z0 += 0.5 * n_dropped_dims * LOG_2PI
     a = span.visible_bias
+    W_t = np.ascontiguousarray(span.weights.T)  # the sweep's fastest layout at small J
     for k, (W, b, c, s) in enumerate(_levels(span, kind, path.grid[1:])):
         eta = v @ W + b
         if k == 0:  # level 1 is scored against the base density
@@ -319,7 +326,7 @@ def ais_estimate(
             log_w = log_marginal_from_response(eta, quad, c) - base_density(v)
         else:
             log_w += _log_weight_step(eta, c, c_prev, s_prev / s)
-        v, _h = _sweep(eta, W, a, c, rng)
+        v, _h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, rng)
         c_prev, s_prev = c, s
 
     finite = np.isfinite(log_w)

@@ -150,22 +150,29 @@ def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.nd
     rng = _as_rng(rng)
     v = _check_data(params, v)
     eta = v @ params.weights + params.hidden_bias
-    return _sweep(eta, params.weights, params.visible_bias, _unit_leakiness(params), rng)
+    return _sweep(eta, params.weights.T, params.visible_bias, _unit_leakiness(params), rng)
 
 
-def _sweep(eta, W, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
     """The Gibbs sweep on raw arrays, from the responses eta = v W + b.
 
     Draws h | v for leaky units of leakiness c, or Bernoulli units when c
-    is None, then v | h ~ N(a + W h, I).  Returns (v', h).
+    is None, then v | h ~ N(a + W h, I); W_t is W^T, in any layout.  A
+    leaky unit on slope alpha (``branch_slopes``) draws alpha eta +
+    sqrt(alpha) z.  Returns (v', h).
     """
     if c is None:
         h = (rng.random(eta.shape) < sigmoid(eta)).astype(np.float64)
     else:
-        alpha = branch_slopes(eta, c)
-        h = alpha * eta + np.sqrt(alpha) * rng.standard_normal(eta.shape)
-    v_mean = h @ W.T + a
-    return v_mean + rng.standard_normal(v_mean.shape), h
+        h = branch_slopes(eta, c)
+        h *= eta
+        z = rng.standard_normal(eta.shape)
+        z *= branch_slopes(eta, math.sqrt(c))  # sqrt(alpha), as sqrt(1) = 1
+        h += z
+    v = h @ W_t
+    v += a
+    v += rng.standard_normal(v.shape)
+    return v, h
 
 
 def anneal_leakiness_sample(
@@ -212,5 +219,5 @@ def _run_annealed(W, a, b, schedule, v, rng) -> ChainSet:
     """Leaky Gibbs sweeps from v, one per leakiness of the schedule; v is not written."""
     h = np.zeros((v.shape[0], W.shape[1]))
     for c_t in schedule.leakiness_sequence().tolist():
-        v, h = _sweep(v @ W + b, W, a, c_t, rng)
+        v, h = _sweep(v @ W + b, W.T, a, c_t, rng)
     return ChainSet(v=v, h=h)

@@ -169,9 +169,9 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     which the annealed schemes do not read.
     """
     if config.neg_sampler is NegSampler.CD:
-        v, _h = _sweep(eta, W, a, c, rng)
+        v, _h = _sweep(eta, W.T, a, c, rng)
         for _ in range(config.cd_steps - 1):
-            v, _h = _sweep(v @ W + b, W, a, c, rng)
+            v, _h = _sweep(v @ W + b, W.T, a, c, rng)
         return v
     if c is None:
         raise ValueError("leakiness annealing requires leaky hidden units")

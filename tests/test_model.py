@@ -27,6 +27,7 @@ from leaky_rbm import (
     response,
     visible_conditional,
 )
+from leaky_rbm.model import branch_slopes, sigmoid
 from leaky_rbm.sampler import make_rng
 
 from conftest import random_safe_params
@@ -151,6 +152,41 @@ class TestBernoulliHiddenConditional:
         p = RbmParams.create(np.array([[-400.0]]), hidden_kind=HiddenKind.BERNOULLI)
         got = bernoulli_hidden_conditional(p, np.array([2.0]))
         assert np.isfinite(got).all() and got[0] == 0.0
+
+
+class TestKernels:
+    """branch_slopes and sigmoid against the textbook formulas, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eta=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+        c=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_branch_slopes_is_the_select(self, eta, c):
+        eta = np.array(eta + [0.0, -0.0, np.inf, -np.inf, np.nan])
+        got = branch_slopes(eta, c)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.where(eta > 0, 1.0, c))
+
+    @staticmethod
+    def _two_branch_sigmoid(eta):
+        out = np.empty_like(eta)
+        pos = eta >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        e = np.exp(eta[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    def test_sigmoid_is_the_two_branch_formula(self, rng):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 710.0, -710.0,
+                   36.0, -36.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300]
+        eta = np.concatenate([rng.standard_normal(100_000) * 20.0, special])
+        np.testing.assert_array_equal(sigmoid(eta), self._two_branch_sigmoid(eta))
+
+    def test_sigmoid_special_values(self):
+        got = sigmoid(np.array([0.0, -0.0, np.inf, -np.inf, -745.0, 745.0]))
+        np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.exp(-745.0), 1.0])
+        assert np.isnan(sigmoid(np.array([np.nan]))[0])
 
 
 class TestVisibleConditional:

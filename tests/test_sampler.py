@@ -15,7 +15,7 @@ from leaky_rbm import (
     sample_gaussian_base,
 )
 from leaky_rbm.projection import project_spectral
-from leaky_rbm.sampler import gaussian_base_moments, make_rng
+from leaky_rbm.sampler import _sweep, gaussian_base_moments, make_rng
 from leaky_rbm.partition import quadrature_log_z
 from leaky_rbm.model import log_unnorm_marginal
 
@@ -165,6 +165,59 @@ class TestGibbsStep:
             gibbs_step(p, np.zeros((3, 2, 2)), make_rng(0))
         with pytest.raises(ValueError, match="at least one row"):
             gibbs_step(p, np.zeros((0, 2)), make_rng(0))
+
+
+class TestSweepKernel:
+    """_sweep against the textbook sweep, drawn from the same seeded generator.
+
+    h = alpha eta + sqrt(alpha) z with alpha = 1 for eta > 0 and c
+    otherwise (Bernoulli: h = 1 where u < sigmoid(eta)), then
+    v = a + h W^T + z'.  Equal generator states afterwards show that the
+    kernel takes exactly as many draws as the formula, in the same order.
+    """
+
+    @staticmethod
+    def _case(rng, n_hidden=6, n_visible=5, n=40):
+        W = rng.uniform(-1.0, 1.0, (n_visible, n_hidden))
+        a = rng.uniform(-1.0, 1.0, n_visible)
+        eta = rng.standard_normal((n, n_hidden)) * 2.0
+        eta[0, :3] = [0.0, -0.0, 1e-300]  # zero responses are on the leaky branch
+        return W, a, eta
+
+    @staticmethod
+    def _layouts(W):
+        return [W.T, np.ascontiguousarray(W.T)]
+
+    @pytest.mark.parametrize("c", [0.01, 0.3, 1.0])
+    def test_leaky_sweep_is_the_formula(self, rng, c):
+        W, a, eta = self._case(rng)
+        for W_t in self._layouts(W):
+            g, g_ref = make_rng(21), make_rng(21)
+            v, h = _sweep(eta, W_t, a, c, g)
+            alpha = np.where(eta > 0, 1.0, c)
+            h_ref = alpha * eta + np.sqrt(alpha) * g_ref.standard_normal(eta.shape)
+            v_ref = a + h_ref @ W.T + g_ref.standard_normal((eta.shape[0], W.shape[0]))
+            np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(v, v_ref)
+            assert g.bit_generator.state == g_ref.bit_generator.state
+
+    def test_bernoulli_sweep_is_the_formula(self, rng):
+        W, a, eta = self._case(rng)
+        for W_t in self._layouts(W):
+            g, g_ref = make_rng(22), make_rng(22)
+            v, h = _sweep(eta, W_t, a, None, g)
+            p_on = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+            h_ref = (g_ref.random(eta.shape) < p_on).astype(np.float64)
+            v_ref = a + h_ref @ W.T + g_ref.standard_normal((eta.shape[0], W.shape[0]))
+            np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(v, v_ref)
+            assert g.bit_generator.state == g_ref.bit_generator.state
+
+    def test_eta_is_not_written(self, rng):
+        W, a, eta = self._case(rng)
+        before = eta.copy()
+        _sweep(eta, W.T, a, 0.2, make_rng(3))
+        np.testing.assert_array_equal(eta, before)
 
 
 class TestAnnealLeakinessSample:
