@@ -231,6 +231,7 @@ def _cmd_train(args) -> int:
             leakiness=args.leakiness if args.kind is HiddenKind.LEAKY_RELU else 1.0,
             hidden_kind=args.kind,
         )
+        del W0  # params0 holds the projected copy; training never reads W0
         # train's ValueError rejects an option combination: an annealed
         # negative phase for Bernoulli hidden units
         model, log = train(params0, dataset.matrix, tc)
@@ -265,18 +266,25 @@ def _estimate(params, args):
         return ais_estimate(params, path, args.particles, make_rng(args.seed, 3))
 
 
+_ESTIMATE_Z_HEADER = b"path,levels,particles,log_z,stderr,ess,dropped\n"
+
+
 def _cmd_estimate_z(args) -> int:
+    out = args.out / "estimate_z.csv"
+    # rows are appended only under this command's own header; an empty or
+    # missing file gets the header first
+    new = not out.exists() or out.stat().st_size == 0
+    if not new:
+        with open(out, "rb") as fh:
+            if fh.read(len(_ESTIMATE_Z_HEADER)) != _ESTIMATE_Z_HEADER:
+                raise UsageError(f"{out} does not start with the estimate-z header")
     est = _estimate(load_model(args.model)[0], args)
     print(f"log_z {est.log_z:.6f} +- {est.standard_error:.6f}")
     args.out.mkdir(parents=True, exist_ok=True)
-    out = args.out / "estimate_z.csv"
-    new = not out.exists()
     with open(out, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if new:
-            writer.writerow(
-                ["path", "levels", "particles", "log_z", "stderr", "ess", "dropped"]
-            )
+            fh.write(_ESTIMATE_Z_HEADER.decode())
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [
                 args.path.value,

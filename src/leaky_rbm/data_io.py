@@ -50,7 +50,9 @@ def normalize(matrix: np.ndarray, stats: Normalization | None = None) -> Dataset
         std = matrix.std(axis=0)
         std = np.where(std < 1e-12, 1.0, std)
         stats = Normalization(mean, std)
-    return Dataset((matrix - stats.per_column_mean) / stats.per_column_std, stats)
+    standardized = matrix - stats.per_column_mean  # one data-sized array, divided in place
+    standardized /= stats.per_column_std
+    return Dataset(standardized, stats)
 
 
 def ingest(path, fmt: str | None = None, stats: Normalization | None = None) -> Dataset:

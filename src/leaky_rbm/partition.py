@@ -319,8 +319,13 @@ def ais_estimate(
     log_z0 += 0.5 * n_dropped_dims * LOG_2PI
     a = span.visible_bias
     W_t = np.ascontiguousarray(span.weights.T)  # the sweep's fastest layout at small J
-    for k, (W, b, c, s) in enumerate(_levels(span, kind, path.grid[1:])):
-        eta = v @ W + b
+    # the level's b (s b, as in _levels), tiled over the particles: an add of
+    # equal shapes runs as one flat loop, where a broadcast length-J row runs
+    # one short loop per particle
+    b_rows = np.tile(span.hidden_bias, (n_particles, 1))
+    for k, (W, _b, c, s) in enumerate(_levels(span, kind, path.grid[1:])):
+        eta = v @ W
+        eta += b_rows if s == 1.0 else b_rows * s
         if k == 0:  # level 1 is scored against the base density
             quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
             log_w = log_marginal_from_response(eta, quad, c) - base_density(v)

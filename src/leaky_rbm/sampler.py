@@ -170,7 +170,8 @@ def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
         z *= branch_slopes(eta, math.sqrt(c))  # sqrt(alpha), as sqrt(1) = 1
         h += z
     v = h @ W_t
-    v += a
+    if a.any():  # a zero a, as on the span model of ais_estimate, adds nothing
+        v += a
     v += rng.standard_normal(v.shape)
     return v, h
 

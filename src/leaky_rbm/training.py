@@ -10,9 +10,11 @@ onto the feasible set after every update unless disabled.
 ``train`` validates its data once and then runs each minibatch on raw
 arrays, with one response pass: the batch's responses eta = v W + b feed
 both the positive statistics and CD's first Gibbs sweep.  Both dW
-products go into preallocated buffers, and the gradient, velocity and
-weights are updated in place, in the order of the textbook formulas, so
-the result is bit for bit that of the public phases below.  The new
+products go into buffers allocated once per epoch, and the gradient,
+velocity and weights are updated in place, in the order of the textbook
+formulas, so the result is bit for bit that of the public phases below.
+W has a velocity buffer only with momentum, and the weight-decay product
+is formed only with weight decay.  The new
 parameters are checked for finiteness once per minibatch, before the
 projection.  ``positive_phase`` and ``negative_phase`` run the same
 helpers, with every sampler.
@@ -227,12 +229,17 @@ def train(
     params = params0
     W = np.array(params0.weights)  # the weights, updated in place
     a, b, c = params0.visible_bias, params0.hidden_bias, _unit_leakiness(params0)
-    vel_W = np.zeros_like(W)
+    # at momentum 0 the step is lr g itself, so W keeps no velocity
+    vel_W = np.zeros_like(W) if config.momentum > 0 else None
     vel_b = np.zeros_like(b)
-    g_W, neg_dW = np.empty_like(W), np.empty_like(W)
     log = TrainingLog()
     n = data.shape[0]
     for epoch in range(config.epochs):
+        # during the epoch W is the only copy of the weights, and the
+        # gradient buffers live until the reconstruction error, whose
+        # temporaries take their place: both lower the peak memory
+        del params
+        g_W, neg_dW = np.empty_like(W), np.empty_like(W)
         order = rng.permutation(n)
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = data[order[start : start + config.batch_size]]
@@ -244,19 +251,23 @@ def train(
             eta += b
             _, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)
             # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
-            # W = W + vel
+            # W = W + vel.  A zero weight decay or momentum skips its
+            # product, which could change only the sign of an exact zero.
             g_W -= neg_dW
-            g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
-            vel_W *= config.momentum
+            if config.weight_decay > 0:
+                g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
             g_W *= config.learning_rate
-            vel_W += g_W
+            if vel_W is not None:
+                vel_W *= config.momentum
+                vel_W += g_W
             vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
-            W += vel_W
+            W += g_W if vel_W is None else vel_W
             b = b + vel_b
             if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise TrainingDivergedError(epoch, bi)
             if config.projection_enabled:
                 W = _clip(W)[0]
+        del g_W, neg_dW
         params = params0.with_(weights=W, hidden_bias=b)
         recon = reconstruction_error(params, data)
         record = EpochRecord(epoch=epoch, recon_error=recon)

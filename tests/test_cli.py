@@ -224,6 +224,33 @@ class TestModelPipeline:
         assert rows[0]["path"] == "leaky"
         assert rows[0]["log_z"] == rows[1]["log_z"]
 
+    @pytest.mark.parametrize("content", [
+        b"path,levels,particles,log_z,stderr,ess\nleaky,3,4,1.5,0.1,3.9\n",
+        b"\x00\xffnot a csv\n",
+        b"path,levels,particles,log_z,stderr,ess,dropped",  # no line end
+    ], ids=["six-columns", "binary", "unterminated"])
+    def test_estimate_z_refuses_a_foreign_csv(self, tmp_path, trained_model, capsys, content):
+        out = tmp_path / "estimate_z.csv"
+        out.write_bytes(content)
+        rc = main([
+            "--out", str(tmp_path), "estimate-z", "--model", str(trained_model),
+            "--levels", "3", "--particles", "4",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and str(out) in err
+        assert out.read_bytes() == content
+
+    def test_estimate_z_writes_the_header_into_an_empty_csv(self, tmp_path, trained_model):
+        out = tmp_path / "estimate_z.csv"
+        out.touch()
+        argv = ["--out", str(tmp_path), "estimate-z", "--model", str(trained_model),
+                "--levels", "3", "--particles", "4"]
+        assert main(argv) == 0 and main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "path,levels,particles,log_z,stderr,ess,dropped"
+        assert len(lines) == 3 and all(line.count(",") == 6 for line in lines)
+
     def test_eval_ll_with_explicit_log_z(self, tmp_path, trained_model, rng, capsys):
         data = _write_data(tmp_path / "d.csv", rng, n=40, cols=2)
         rc = main(

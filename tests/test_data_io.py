@@ -48,6 +48,19 @@ class TestNormalize:
         )
         np.testing.assert_array_equal(ds_test.matrix, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_formula_bits_and_input_untouched(self, rng, dtype):
+        m = (rng.standard_normal((50, 4)) * [1.0, 3.0, 1e-3, 8.0] + 2.0).astype(dtype)
+        before = m.copy()
+        ds = normalize(m)
+        m64 = m.astype(np.float64)
+        stats = ds.normalization
+        np.testing.assert_array_equal(
+            ds.matrix, (m64 - stats.per_column_mean) / stats.per_column_std
+        )
+        np.testing.assert_array_equal(m, before)
+        assert ds.matrix.dtype == np.float64
+
     def test_rejects_non_matrix(self):
         with pytest.raises(DataFormatError):
             normalize(np.zeros(5))

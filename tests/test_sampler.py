@@ -167,19 +167,30 @@ class TestGibbsStep:
             gibbs_step(p, np.zeros((0, 2)), make_rng(0))
 
 
-class TestSweepKernel:
-    """_sweep against the textbook sweep, drawn from the same seeded generator.
+def _assert_same_bits(x, y):
+    np.testing.assert_array_equal(x, y)
+    assert x.tobytes() == y.tobytes()  # signed zeros too
 
-    h = alpha eta + sqrt(alpha) z with alpha = 1 for eta > 0 and c
+
+class TestSweepKernel:
+    """_sweep against the textbook sweep, drawn from a fresh generator of the same seed.
+
+    h = alpha eta + sqrt(alpha) z1 with alpha = 1 for eta > 0 and c
     otherwise (Bernoulli: h = 1 where u < sigmoid(eta)), then
-    v = a + h W^T + z'.  Equal generator states afterwards show that the
-    kernel takes exactly as many draws as the formula, in the same order.
+    v = (h W^T + a) + z2, with z1 (or u) of shape n x J drawn before z2 of
+    shape n x I.  Equal generator states afterwards show that the kernel
+    takes exactly as many draws as the formula, in the same order.  The
+    cases cover I < J and I > J, and a zero a, whose add the kernel skips.
     """
 
+    SHAPES = pytest.mark.parametrize("n_visible, n_hidden", [(5, 6), (7, 3)],
+                                     ids=["I<J", "I>J"])
+    BIASES = pytest.mark.parametrize("zero_a", [False, True], ids=["a", "a=0"])
+
     @staticmethod
-    def _case(rng, n_hidden=6, n_visible=5, n=40):
+    def _case(rng, n_visible=5, n_hidden=6, zero_a=False, n=40):
         W = rng.uniform(-1.0, 1.0, (n_visible, n_hidden))
-        a = rng.uniform(-1.0, 1.0, n_visible)
+        a = np.zeros(n_visible) if zero_a else rng.uniform(-1.0, 1.0, n_visible)
         eta = rng.standard_normal((n, n_hidden)) * 2.0
         eta[0, :3] = [0.0, -0.0, 1e-300]  # zero responses are on the leaky branch
         return W, a, eta
@@ -188,29 +199,33 @@ class TestSweepKernel:
     def _layouts(W):
         return [W.T, np.ascontiguousarray(W.T)]
 
+    @SHAPES
+    @BIASES
     @pytest.mark.parametrize("c", [0.01, 0.3, 1.0])
-    def test_leaky_sweep_is_the_formula(self, rng, c):
-        W, a, eta = self._case(rng)
+    def test_leaky_sweep_is_the_formula(self, rng, c, zero_a, n_visible, n_hidden):
+        W, a, eta = self._case(rng, n_visible, n_hidden, zero_a)
         for W_t in self._layouts(W):
             g, g_ref = make_rng(21), make_rng(21)
             v, h = _sweep(eta, W_t, a, c, g)
             alpha = np.where(eta > 0, 1.0, c)
             h_ref = alpha * eta + np.sqrt(alpha) * g_ref.standard_normal(eta.shape)
-            v_ref = a + h_ref @ W.T + g_ref.standard_normal((eta.shape[0], W.shape[0]))
-            np.testing.assert_array_equal(h, h_ref)
-            np.testing.assert_array_equal(v, v_ref)
+            v_ref = (h_ref @ W.T + a) + g_ref.standard_normal((eta.shape[0], n_visible))
+            _assert_same_bits(h, h_ref)
+            _assert_same_bits(v, v_ref)
             assert g.bit_generator.state == g_ref.bit_generator.state
 
-    def test_bernoulli_sweep_is_the_formula(self, rng):
-        W, a, eta = self._case(rng)
+    @SHAPES
+    @BIASES
+    def test_bernoulli_sweep_is_the_formula(self, rng, zero_a, n_visible, n_hidden):
+        W, a, eta = self._case(rng, n_visible, n_hidden, zero_a)
         for W_t in self._layouts(W):
             g, g_ref = make_rng(22), make_rng(22)
             v, h = _sweep(eta, W_t, a, None, g)
             p_on = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
             h_ref = (g_ref.random(eta.shape) < p_on).astype(np.float64)
-            v_ref = a + h_ref @ W.T + g_ref.standard_normal((eta.shape[0], W.shape[0]))
-            np.testing.assert_array_equal(h, h_ref)
-            np.testing.assert_array_equal(v, v_ref)
+            v_ref = (h_ref @ W.T + a) + g_ref.standard_normal((eta.shape[0], n_visible))
+            _assert_same_bits(h, h_ref)
+            _assert_same_bits(v, v_ref)
             assert g.bit_generator.state == g_ref.bit_generator.state
 
     def test_eta_is_not_written(self, rng):

@@ -427,6 +427,9 @@ class TestTrainReference:
                 batch_size=40, seed=6)),
             (40, 30, HiddenKind.LEAKY_RELU, TrainConfig(
                 learning_rate=0.02, momentum=0.5, weight_decay=1e-3, epochs=2, batch_size=64, seed=7)),
+            # weight decay without momentum: the decay product and no velocity
+            (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
+                learning_rate=0.05, weight_decay=1e-2, epochs=3, batch_size=40, seed=8)),
         ],
     )
     def test_bit_identical_to_public_phase_loop(self, rng, n_visible, n_hidden, kind, config):

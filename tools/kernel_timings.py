@@ -1,8 +1,11 @@
 """Median per-call time of the leaky-RBM kernels, at two model sizes.
 
-Run by hand from the repository root (it is not part of the test suite):
+Run by hand from the repository root:
 
     python tools/kernel_timings.py [--repeats N]
+
+``tests/test_tools.py`` runs its kernel list at a tiny size, so a change
+to a kernel it calls directly fails the test suite.
 
 The sizes are those of ROADMAP aim 1: 64 visible x 16 hidden with 1000
 chains (the ais-64 benchmark's larger model) and 784 x 500 with 100 rows
