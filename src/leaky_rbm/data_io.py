@@ -41,17 +41,28 @@ class Dataset:
 
 
 def normalize(matrix: np.ndarray, stats: Normalization | None = None) -> Dataset:
-    """Per-column standardization; constant columns map to zero (std clamped to 1)."""
+    """Per-column standardization; constant columns map to zero (std clamped to 1).
+
+    A finite column too large to standardise, whose std or standardised
+    values overflow, raises DataFormatError naming the first such column.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataFormatError("data must be a 2-D matrix")
-    if stats is None:
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std = np.where(std < 1e-12, 1.0, std)
-        stats = Normalization(mean, std)
-    standardized = matrix - stats.per_column_mean  # one data-sized array, divided in place
-    standardized /= stats.per_column_std
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        if stats is None:
+            mean = matrix.mean(axis=0)
+            std = matrix.std(axis=0)
+            std = np.where(std < 1e-12, 1.0, std)
+            stats = Normalization(mean, std)
+        standardized = matrix - stats.per_column_mean  # one data-sized array, divided in place
+        standardized /= stats.per_column_std
+    # an overflowed std alone leaves zeros; max and min see inf and NaN with no temporary
+    finite = np.isfinite(stats.per_column_std) & np.isfinite(standardized.max(axis=0, initial=0.0))
+    finite &= np.isfinite(standardized.min(axis=0, initial=0.0))
+    if not finite.all():
+        col = np.flatnonzero(~finite)[0]
+        raise DataFormatError(f"column {col} (0-based) is too large to standardise")
     return Dataset(standardized, stats)
 
 
@@ -80,7 +91,10 @@ def ingest(path, fmt: str | None = None, stats: Normalization | None = None) -> 
     if not np.isfinite(matrix).all():
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise DataFormatError(f"{path}: non-finite value at row {row}, column {col} (0-based)")
-    return normalize(matrix, stats)
+    try:
+        return normalize(matrix, stats)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _read_csv(path: Path) -> np.ndarray:

@@ -35,13 +35,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _finish(name: str, t0: float, path: Path, header: list[str], rows: list[list],
+            note: str = "") -> Path:
+    """Write an experiment's CSV, report its wall time since t0 on stderr, return path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+    print(f"{name} finished in {time.perf_counter() - t0:.1f}s{note} -> {path}", file=sys.stderr)
+    return path
 
 
 def random_orthogonal_params(
@@ -103,15 +107,9 @@ def experiment_partition_bias(
                     sum(est.n_dropped for est in estimates),
                 ]
             )
-    out = Path(out_dir) / "partition_bias.csv"
-    _write_csv(
-        out, ["J", "method", "bias_mean", "bias_sd", "particles", "levels", "dropped"], rows
-    )
-    print(
-        f"partition-bias finished in {time.perf_counter() - t0:.1f}s -> {out}",
-        file=sys.stderr,
-    )
-    return out
+    return _finish("partition-bias", t0, Path(out_dir) / "partition_bias.csv",
+                   ["J", "method", "bias_mean", "bias_sd", "particles", "levels", "dropped"],
+                   rows)
 
 
 def _mixing_ground_truth(seed: int) -> RbmParams:
@@ -176,10 +174,8 @@ def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
         )
         for rec in log.epochs:
             rows.append([rec.epoch, method.value, rec.log_likelihood, 0.0])
-    out = Path(out_dir) / "mixing.csv"
-    _write_csv(out, ["epoch", "method", "loglik", "stderr"], rows)
-    print(f"mixing finished in {time.perf_counter() - t0:.1f}s -> {out}", file=sys.stderr)
-    return out
+    return _finish("mixing", t0, Path(out_dir) / "mixing.csv",
+                   ["epoch", "method", "loglik", "stderr"], rows)
 
 
 def experiment_divergence(out_dir, seed: int) -> Path:
@@ -259,15 +255,9 @@ def experiment_divergence(out_dir, seed: int) -> Path:
                 rows.append([step, float("inf"), label])
                 break
             rows.append([step, mean_abs, label])
-    out = Path(out_dir) / "divergence.csv"
-    _write_csv(out, ["step", "mean_abs_v", "model"], rows)
     safe_flag, _ = is_globally_safe(unprojected.weights)
-    print(
-        f"divergence finished in {time.perf_counter() - t0:.1f}s "
-        f"(unprojected safe={safe_flag}) -> {out}",
-        file=sys.stderr,
-    )
-    return out
+    return _finish("divergence", t0, Path(out_dir) / "divergence.csv",
+                   ["step", "mean_abs_v", "model"], rows, f" (unprojected safe={safe_flag})")
 
 
 def experiment_likelihood_compare(out_dir, seed: int) -> Path:
@@ -308,13 +298,8 @@ def experiment_likelihood_compare(out_dir, seed: int) -> Path:
         loglik = eval_mean_log_likelihood(model, test_data, log_z)
         label = "leaky" if kind is HiddenKind.LEAKY_RELU else "bernoulli-gaussian"
         rows.append([label, loglik, log_z, stderr, dropped])
-    out = Path(out_dir) / "likelihood_compare.csv"
-    _write_csv(out, ["model", "loglik", "logz", "logz_stderr", "dropped"], rows)
-    print(
-        f"likelihood-compare finished in {time.perf_counter() - t0:.1f}s -> {out}",
-        file=sys.stderr,
-    )
-    return out
+    return _finish("likelihood-compare", t0, Path(out_dir) / "likelihood_compare.csv",
+                   ["model", "loglik", "logz", "logz_stderr", "dropped"], rows)
 
 
 EXPERIMENTS = {

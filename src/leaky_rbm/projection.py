@@ -64,7 +64,9 @@ def project_spectral(W) -> tuple[np.ndarray, ProjectionReport]:
     Returns the projected matrix and a report.  Matrices already inside
     the feasible set come back unchanged (same values, new array).
     """
-    return _clip(_finite(W))
+    W = _finite(W)
+    W_proj, report = _clip(W)
+    return (W_proj.copy() if W_proj is W else W_proj), report
 
 
 def _finite(W) -> np.ndarray:
@@ -144,16 +146,16 @@ def max_singular_value(W) -> float:
 
 
 def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
-    """``project_spectral`` of a finite float64 W."""
+    """``project_spectral`` of a finite float64 W, but W itself when it clips nothing."""
     from scipy import linalg
 
     T, exp, gram = _scaled_gram(W)  # T is corrected in place below
     if _certifies(gram, exp):
-        return W.copy(), ProjectionReport(0, None, gram, exp)
+        return W, ProjectionReport(0, None, gram, exp)
     # sigma > 1 exactly when the eigenvalue of the scaled Gram exceeds 4^-exp
     lam, V = linalg.eigh(gram, subset_by_value=(np.ldexp(1.0, -2 * exp), np.inf))
     if len(lam) == 0:  # sigma_max lies in the certificate's margin below 1
-        return W.copy(), ProjectionReport(0, None, gram, exp)
+        return W, ProjectionReport(0, None, gram, exp)
     sigma = np.ldexp(np.sqrt(lam), exp)
     smax = float(sigma[-1])
     T -= ((T @ V) * (1.0 - 1.0 / sigma)) @ V.T

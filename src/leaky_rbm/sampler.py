@@ -1,9 +1,10 @@
 """Gibbs sampling and the leakiness-annealing meta-sampler.
 
 Chains are stored as row-stacked arrays and updated in lock-step, so one
-pass over a ChainSet is a couple of matrix products.  All randomness
-comes from a caller-supplied numpy Generator (or a seed), which makes
-every sampler deterministic given its inputs.
+pass over a ChainSet is a couple of matrix products.  Every multi-sweep
+chain, annealed or CD's in ``training``, runs on ``_run_chains``.  All
+randomness comes from a caller-supplied numpy Generator (or a seed),
+which makes every sampler deterministic given its inputs.
 """
 from __future__ import annotations
 
@@ -188,7 +189,8 @@ def anneal_leakiness_sample(
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     rng = _as_rng(rng)
     v = sample_gaussian_base(params, n_chains, rng)
-    return _run_annealed(params.weights, params.visible_bias, params.hidden_bias, schedule, v, rng)
+    return _run_chains(params.weights, params.visible_bias, params.hidden_bias,
+                       schedule.leakiness_sequence().tolist(), v, rng)
 
 
 def mix_sample(
@@ -213,12 +215,18 @@ def mix_sample(
     else:
         idx = rng.integers(data_batch.shape[0], size=n_chains)
         v = data_batch[idx]
-    return _run_annealed(params.weights, params.visible_bias, params.hidden_bias, schedule, v, rng)
+    return _run_chains(params.weights, params.visible_bias, params.hidden_bias,
+                       schedule.leakiness_sequence().tolist(), v, rng)
 
 
-def _run_annealed(W, a, b, schedule, v, rng) -> ChainSet:
-    """Leaky Gibbs sweeps from v, one per leakiness of the schedule; v is not written."""
+def _run_chains(W, a, b, leakiness, v, rng, eta=None) -> ChainSet:
+    """Gibbs sweeps from v, one ``_sweep`` per leakiness, None meaning Bernoulli units.
+
+    ``eta``, when given, is the first sweep's responses v W + b.  v and
+    eta are not written; an empty schedule returns v with h all zeros.
+    """
     h = np.zeros((v.shape[0], W.shape[1]))
-    for c_t in schedule.leakiness_sequence().tolist():
-        v, h = _sweep(v @ W + b, W.T, a, c_t, rng)
+    for c_t in leakiness:
+        v, h = _sweep(v @ W + b if eta is None else eta, W.T, a, c_t, rng)
+        eta = None
     return ChainSet(v=v, h=h)

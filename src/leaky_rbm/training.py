@@ -31,14 +31,7 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .model import RbmParams, _check_data, _unit_leakiness, branch_slopes, response, sigmoid
 from .projection import _clip
-from .sampler import (
-    AnnealSchedule,
-    _as_rng,
-    _draw_base,
-    _gaussian_base,
-    _run_annealed,
-    _sweep,
-)
+from .sampler import AnnealSchedule, _as_rng, _draw_base, _gaussian_base, _run_chains
 
 
 class NegSampler(enum.Enum):
@@ -166,25 +159,21 @@ def negative_phase(
 def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     """Final states of the negative-phase chains for a batch of data.
 
-    c is the leakiness, None for Bernoulli units.  CD starts at the batch
-    and its first sweep takes the batch's responses ``eta`` = batch W + b,
-    which the annealed schemes do not read.
+    c is the leakiness, None for Bernoulli units.  Every scheme runs on
+    ``sampler._run_chains``: CD holds c for cd_steps sweeps from the batch,
+    its first sweep taking the batch's responses ``eta`` = batch W + b;
+    the annealed schemes, which do not read eta, follow their schedule.
     """
     if config.neg_sampler is NegSampler.CD:
-        v, _h = _sweep(eta, W.T, a, c, rng)
-        for _ in range(config.cd_steps - 1):
-            v, _h = _sweep(v @ W + b, W.T, a, c, rng)
-        return v
+        return _run_chains(W, a, b, [c] * config.cd_steps, batch, rng, eta).v
     if c is None:
         raise ValueError("leakiness annealing requires leaky hidden units")
-    schedule = config.anneal
-    if schedule is None:
-        schedule = AnnealSchedule(c_target=c, total_steps=config.cd_steps)
+    schedule = config.anneal or AnnealSchedule(c_target=c, total_steps=config.cd_steps)
     v = batch
     if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
         _, mean, chol_prec, _ = _gaussian_base(W, a, b)
         v = _draw_base(mean, chol_prec, len(batch), rng)
-    return _run_annealed(W, a, b, schedule, v, rng).v
+    return _run_chains(W, a, b, schedule.leakiness_sequence().tolist(), v, rng).v
 
 
 def reconstruction_error(params: RbmParams, batch) -> float:

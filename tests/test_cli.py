@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -80,9 +82,13 @@ class TestExitCodes:
     def test_non_finite_data_is_file_error(self, tmp_path, rng, capsys, command):
         model = tmp_path / "m.rbm"
         save_model(model, random_safe_params(rng, 3, 2, leakiness=0.2, max_norm=0.7))
-        for name, value in (("nan.csv", np.nan), ("inf.csv", np.inf), ("nan.bin", np.nan)):
+        # finite columns too large to standardise: one 1e200 entry overflows
+        # the std, two 1e308 entries overflow the mean (CSV only, past float32)
+        for name, value, count in (("nan.csv", np.nan, 1), ("inf.csv", np.inf, 1),
+                                   ("nan.bin", np.nan, 1), ("std-overflow.csv", 1e200, 1),
+                                   ("mean-overflow.csv", 1e308, 2)):
             m = rng.standard_normal((20, 3))
-            m[5, 1] = value
+            m[5 : 5 + count, 1] = value
             path = tmp_path / name
             if path.suffix == ".csv":
                 np.savetxt(path, m, delimiter=",")
@@ -304,6 +310,20 @@ class TestParser:
 
         with pytest.raises(UsageError):
             parser.parse_args(["experiment", "nonsense"])
+
+    def test_readme_examples_parse(self):
+        # every `leaky-rbm ...` line of README.md's fenced blocks, with its
+        # backslash continuations joined, is parsed but not run
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("leaky-rbm ")]
+        assert commands
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except cli.UsageError as exc:
+                pytest.fail(f"README example {shlex.join(argv)!r}: {exc}")
 
 
 class TestMalformedOptions:

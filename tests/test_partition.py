@@ -383,6 +383,43 @@ class TestAisEstimate:
             ais_estimate(p, _path(kind, p, 5), 8, make_rng(0))
             assert calls == {"cholesky": 1, "solve": 2, "slogdet": 0}, p.weights.shape
 
+    @staticmethod
+    def _blown_up_estimate(monkeypatch, kind, k):
+        """AIS on a 64 x 16 model, 50 particles, the first k set to inf after level 1.
+
+        numpy's matmul flags the inf rows, so its overflow and invalid
+        warnings are ignored for the run.
+        """
+        import leaky_rbm.partition as partition
+
+        sweep, calls = partition._sweep, []
+
+        def blow_up(*args):
+            v, h = sweep(*args)
+            if not calls:
+                v[:k] = np.inf
+            calls.append(1)
+            return v, h
+
+        monkeypatch.setattr(partition, "_sweep", blow_up)
+        p = random_orthogonal(make_rng(6), 64, 16, 0.01)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ais_estimate(p, _path(kind, p, 10), 50, make_rng(0))
+
+    @pytest.mark.parametrize("kind", [PathKind.LEAKY, PathKind.ENERGY])
+    def test_non_finite_particles_are_dropped_with_a_warning(self, monkeypatch, kind):
+        with pytest.warns(UserWarning, match="dropped 3 non-finite"):
+            est = self._blown_up_estimate(monkeypatch, kind, 3)
+        assert est.n_dropped == 3
+        assert est.log_weights.shape == (47,) and np.isfinite(est.log_weights).all()
+        assert est.log_z == est.log_z_base + (_logsumexp(est.log_weights) - math.log(47))
+
+    @pytest.mark.parametrize("kind", [PathKind.LEAKY, PathKind.ENERGY])
+    def test_all_particles_dropped_is_divergent(self, monkeypatch, kind):
+        with pytest.warns(UserWarning, match="dropped 50 non-finite"):
+            with pytest.raises(DivergentIntegralError):
+                self._blown_up_estimate(monkeypatch, kind, 50)
+
 
 def _path(kind, p, n_levels):
     """The path of ``kind`` with ``n_levels`` levels that ends at ``p``."""

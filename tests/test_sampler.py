@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -165,6 +167,43 @@ class TestGibbsStep:
             gibbs_step(p, np.zeros((3, 2, 2)), make_rng(0))
         with pytest.raises(ValueError, match="at least one row"):
             gibbs_step(p, np.zeros((0, 2)), make_rng(0))
+
+
+def _exact_1x1(w, c, n, rng):
+    """n exact draws of the 1 x 1 leaky marginal with weight w > 0 and zero biases.
+
+    The side v > 0 has precision 1 - w^2, and v < 0 has 1 - c w^2.  With
+    m = precision^-1/2 per side, a draw is positive with probability
+    m+ / (m+ + m-), and |v| is half-normal with its side's sd.  Returns
+    (draws, P(v > 0), log Z).
+    """
+    m_pos, m_neg = (1.0 - w**2) ** -0.5, (1.0 - c * w**2) ** -0.5
+    p_pos = m_pos / (m_pos + m_neg)
+    v = np.where(rng.random(n) < p_pos, m_pos, -m_neg) * np.abs(rng.standard_normal(n))
+    return v, p_pos, math.log(math.sqrt(2.0 * math.pi) * (m_pos + m_neg) / 2.0)
+
+
+class TestSweepInvariance:
+    """One sweep from exact draws of the 1 x 1 marginal (w 0.6) keeps P(v > 0)."""
+
+    @pytest.mark.parametrize("c", [0.01, 1.0])
+    def test_exact_draws_match_the_oracle(self, c):
+        p = RbmParams.create(np.array([[0.6]]), leakiness=c)
+        _v, _p_pos, log_z = _exact_1x1(0.6, c, 1, make_rng(0))
+        assert log_z == pytest.approx(quadrature_log_z(p), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [
+        pytest.param(0.01, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP direction 1: at c < 1 one Gibbs sweep does not "
+                                "leave the leaky marginal invariant")),
+        1.0,
+    ])
+    def test_one_sweep_keeps_the_sign_probability(self, c):
+        n = 200_000
+        p = RbmParams.create(np.array([[0.6]]), leakiness=c)
+        v, p_pos, _log_z = _exact_1x1(0.6, c, n, make_rng(5))
+        v, _h = gibbs_step(p, v[:, None], make_rng(6))
+        assert abs(np.mean(v > 0) - p_pos) < 4.0 * math.sqrt(p_pos * (1.0 - p_pos) / n)
 
 
 def _assert_same_bits(x, y):
