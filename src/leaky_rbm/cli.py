@@ -3,13 +3,14 @@
 Subcommands: train, sample, estimate-z, eval-ll, experiment.  A flat
 key=value config file can pre-populate any option, and argparse checks
 its values exactly like flags; explicit command-line flags win over the
-file.  Exit codes: 0 success, 1 usage or file error, 2 numerical failure
-(divergence, non-PD constraint, a failed LAPACK routine).
+file.  Exit codes, all decided in ``main``: 0 success; 1 a usage or file
+error, any input the package rejects with a ValueError among them, with
+one ``error:`` line; 2 a numerical failure (divergent or overflowing
+training, a non-PD constraint, a failed LAPACK routine).
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import sys
@@ -22,7 +23,6 @@ from .errors import (
     DataFormatError,
     DivergentIntegralError,
     LeakyRbmError,
-    ModelFileError,
     NonPDRegionError,
     TrainingDivergedError,
 )
@@ -42,21 +42,6 @@ _PATHS = {
 
 class UsageError(Exception):
     pass
-
-
-@contextlib.contextmanager
-def _options_checked():
-    """Turn a ValueError, which rejects an option combination, into UsageError.
-
-    numpy's LinAlgError subclasses ValueError but is a numerical failure,
-    so it passes through to ``main``.
-    """
-    try:
-        yield
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise UsageError(exc) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,29 +197,26 @@ def _cmd_train(args) -> int:
     W0 = make_rng(args.seed, 1).uniform(
         0.0, 0.01, size=(dataset.matrix.shape[1], args.hidden)
     )
-    with _options_checked():
-        tc = TrainConfig(
-            cd_steps=args.cd_steps,
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            neg_sampler=args.neg_sampler,
-            weight_decay=args.weight_decay,
-            projection_enabled=not args.no_projection,
-            seed=args.seed,
-        )
-        # start inside the feasible set: the annealed samplers' base
-        # Gaussian needs I - W W^T >= 0 from the first minibatch
-        params0 = RbmParams.create(
-            project_spectral(W0)[0],
-            leakiness=args.leakiness if args.kind is HiddenKind.LEAKY_RELU else 1.0,
-            hidden_kind=args.kind,
-        )
-        del W0  # params0 holds the projected copy; training never reads W0
-        # train's ValueError rejects an option combination: an annealed
-        # negative phase for Bernoulli hidden units
-        model, log = train(params0, dataset.matrix, tc)
+    tc = TrainConfig(
+        cd_steps=args.cd_steps,
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        neg_sampler=args.neg_sampler,
+        weight_decay=args.weight_decay,
+        projection_enabled=not args.no_projection,
+        seed=args.seed,
+    )
+    # start inside the feasible set: the annealed samplers' base
+    # Gaussian needs I - W W^T >= 0 from the first minibatch
+    params0 = RbmParams.create(
+        project_spectral(W0)[0],
+        leakiness=args.leakiness if args.kind is HiddenKind.LEAKY_RELU else 1.0,
+        hidden_kind=args.kind,
+    )
+    del W0  # params0 holds the projected copy; training never reads W0
+    model, log = train(params0, dataset.matrix, tc)
     model_out = args.model_out or str(args.out / "model.rbm")
     Path(model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(
@@ -251,8 +233,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     params, _prov = load_model(args.model)
     schedule = AnnealSchedule(c_target=params.leakiness, total_steps=args.steps)
-    with _options_checked():  # a Bernoulli model has no leakiness to anneal
-        chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
+    chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "samples.csv"
     np.savetxt(out, chains.v, delimiter=",", fmt="%.12g")
@@ -262,8 +243,7 @@ def _cmd_sample(args) -> int:
 
 def _estimate(params, args):
     path = _PATHS[args.path](params.leakiness, args.levels)
-    with _options_checked():  # a leakiness path for Bernoulli hidden units
-        return ais_estimate(params, path, args.particles, make_rng(args.seed, 3))
+    return ais_estimate(params, path, args.particles, make_rng(args.seed, 3))
 
 
 _ESTIMATE_Z_HEADER = b"path,levels,particles,log_z,stderr,ess,dropped\n"
@@ -331,14 +311,15 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.run(args)
-    except (UsageError, ModelFileError, DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so the numerical row comes first
     except (
         NonPDRegionError, DivergentIntegralError, TrainingDivergedError, np.linalg.LinAlgError
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except LeakyRbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

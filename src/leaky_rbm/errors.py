@@ -30,13 +30,15 @@ class DivergentIntegralError(LeakyRbmError):
 
 
 class TrainingDivergedError(LeakyRbmError):
-    """Parameters became non-finite during training."""
+    """Parameters became non-finite during training, or the epoch's
+    reconstruction error overflowed (``batch_index`` None)."""
 
-    def __init__(self, epoch: int, batch_index: int):
+    def __init__(self, epoch: int, batch_index: int | None = None):
         self.epoch = epoch
         self.batch_index = batch_index
         super().__init__(
-            f"non-finite parameters at epoch {epoch}, batch {batch_index}"
+            f"reconstruction error overflowed at epoch {epoch}" if batch_index is None
+            else f"non-finite parameters at epoch {epoch}, batch {batch_index}"
         )
 
 

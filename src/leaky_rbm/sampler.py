@@ -225,7 +225,7 @@ def _run_chains(W, a, b, leakiness, v, rng, eta=None) -> ChainSet:
     ``eta``, when given, is the first sweep's responses v W + b.  v and
     eta are not written; an empty schedule returns v with h all zeros.
     """
-    h = np.zeros((v.shape[0], W.shape[1]))
+    h = None if leakiness else np.zeros((v.shape[0], W.shape[1]))
     for c_t in leakiness:
         v, h = _sweep(v @ W + b if eta is None else eta, W.T, a, c_t, rng)
         eta = None

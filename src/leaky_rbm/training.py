@@ -210,8 +210,8 @@ def train(
     stored in the log (only sensible for small models with an exact
     oracle).  Raises DimensionError for data of the wrong width,
     ValueError for data with no rows, and TrainingDivergedError if
-    parameters go non-finite, which is the expected failure of
-    unprojected training.
+    parameters go non-finite or an epoch's reconstruction error
+    overflows, the expected failures of unprojected training.
     """
     data = _check_data(params0, data)
     rng = _as_rng(config.seed)
@@ -258,7 +258,11 @@ def train(
                 W = _clip(W)[0]
         del g_W, neg_dW
         params = params0.with_(weights=W, hidden_bias=b)
-        recon = reconstruction_error(params, data)
+        # finite weights can still overflow the reconstruction
+        with np.errstate(over="ignore", invalid="ignore"):
+            recon = reconstruction_error(params, data)
+        if not np.isfinite(recon):
+            raise TrainingDivergedError(epoch)
         record = EpochRecord(epoch=epoch, recon_error=recon)
         if loglik_fn is not None:
             record.log_likelihood = float(loglik_fn(params))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaky_rbm import HiddenKind, RbmParams, project_spectral, save_model, write_raw_f32
-from leaky_rbm import cli, projection
+from leaky_rbm import DimensionError, cli, projection
 from leaky_rbm.cli import build_parser, main, read_config
 from leaky_rbm.data_io import load_model
 
@@ -138,6 +138,37 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == "numerical failure: Internal Error.\n"
+
+    @pytest.mark.parametrize("exc, code, err", [
+        (ValueError("boom"), 1, "error: boom\n"),
+        (DimensionError("wide"), 1, "error: wide\n"),
+        (np.linalg.LinAlgError("x"), 2, "numerical failure: x\n"),
+    ], ids=["ValueError", "DimensionError", "LinAlgError"])
+    def test_main_alone_maps_exceptions_to_exit_codes(
+        self, tmp_path, rng, capsys, monkeypatch, exc, code, err
+    ):
+        # save_model runs outside any command's own handling, so main's
+        # table decides; LinAlgError is a ValueError and still exits 2
+        data = _write_data(tmp_path / "d.csv", rng)
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "save_model", fail)
+        argv = ["--out", str(tmp_path), "train", "--data", str(data), "--epochs", "1"]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+
+    def test_overflowing_training_is_exit_2(self, tmp_path, capsys):
+        # the weights stay finite, but the reconstruction overflows
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((50, 4)), delimiter=",")
+        rc = main(["--out", str(tmp_path), "train", "--data", str(data), "--hidden", "2",
+                   "--epochs", "1", "--learning-rate", "1e300", "--no-projection"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "numerical failure: reconstruction error overflowed at epoch 0\n"
+        assert not (tmp_path / "model.rbm").exists()
 
     def test_sample_where_the_subset_eigensolve_failed(self, tmp_path, capsys):
         # LAPACK's dsyevr raised LinAlgError("Internal Error.") on this

@@ -18,7 +18,7 @@ from leaky_rbm import (
 )
 from leaky_rbm.projection import project_spectral
 from leaky_rbm.sampler import _sweep, gaussian_base_moments, make_rng
-from leaky_rbm.partition import quadrature_log_z
+from leaky_rbm.partition import gaussian_log_z, quadrature_log_z
 from leaky_rbm.model import log_unnorm_marginal
 
 from conftest import random_safe_params
@@ -183,6 +183,19 @@ def _exact_1x1(w, c, n, rng):
     return v, p_pos, math.log(math.sqrt(2.0 * math.pi) * (m_pos + m_neg) / 2.0)
 
 
+def _exact_2x2(p, n, rng):
+    """Exact draws of the leaky marginal of p, by rejection from its c = 1 Gaussian.
+
+    A proposal v is kept with probability f_c(v) / f_1(v) <= 1, as c eta^2
+    <= eta^2.  Returns (kept draws, acceptance rate, exact acceptance
+    probability Z_c / Z_1 from the quadrature and Gaussian oracles).
+    """
+    p1 = p.with_(leakiness=1.0)
+    v = sample_gaussian_base(p1, n, rng)
+    keep = rng.random(n) < np.exp(log_unnorm_marginal(p, v) - log_unnorm_marginal(p1, v))
+    return v[keep], keep.mean(), math.exp(quadrature_log_z(p) - gaussian_log_z(p1))
+
+
 class TestSweepInvariance:
     """One sweep from exact draws of the 1 x 1 marginal (w 0.6) keeps P(v > 0)."""
 
@@ -204,6 +217,38 @@ class TestSweepInvariance:
         v, p_pos, _log_z = _exact_1x1(0.6, c, n, make_rng(5))
         v, _h = gibbs_step(p, v[:, None], make_rng(6))
         assert abs(np.mean(v > 0) - p_pos) < 4.0 * math.sqrt(p_pos * (1.0 - p_pos) / n)
+
+
+class TestSweepInvariance2x2:
+    """One sweep from exact draws of a 2 x 2 marginal keeps P(eta_1 > 0).
+
+    W has sigma_max 0.767 and the biases are zero.  The rejection draws'
+    acceptance rate is checked against the oracles first.
+    """
+
+    W = np.array([[0.7, 0.3], [-0.2, 0.6]])
+
+    @pytest.mark.parametrize("c", [0.01, 1.0])
+    def test_rejection_rate_matches_the_oracles(self, c):
+        n = 200_000
+        _v, rate, expected = _exact_2x2(RbmParams.create(self.W, leakiness=c), n, make_rng(0))
+        # at c = 1 every proposal is kept, and the quadrature's log Z is good to 1e-9
+        assert abs(rate - expected) <= 4.0 * math.sqrt(expected * (1.0 - expected) / n) + 1e-8
+
+    @pytest.mark.parametrize("c", [
+        pytest.param(0.01, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP direction 1: at c < 1 one Gibbs sweep does not "
+                                "leave the leaky marginal invariant")),
+        1.0,
+    ])
+    def test_one_sweep_keeps_the_sign_probability(self, c):
+        p = RbmParams.create(self.W, leakiness=c)
+        rng = make_rng(0)
+        v, _rate, _expected = _exact_2x2(p, 200_000, rng)
+        v_next, _h = gibbs_step(p, v, rng)
+        # paired change of the indicator eta_1 > 0 (zero biases)
+        d = (v_next @ self.W[:, 0] > 0).astype(float) - (v @ self.W[:, 0] > 0)
+        assert abs(d.mean()) < 4.0 * d.std(ddof=1) / math.sqrt(d.size)
 
 
 def _assert_same_bits(x, y):

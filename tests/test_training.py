@@ -261,6 +261,17 @@ class TestTrain:
             train(p, data, cfg)
         assert exc.value.epoch >= 0
 
+    def test_overflowing_reconstruction_raises(self, rng):
+        # one step at learning rate 1e300 leaves the weights finite, but the
+        # epoch's reconstruction error overflows
+        p = random_safe_params(rng, 4, 2)
+        data = rng.standard_normal((50, 4))
+        cfg = TrainConfig(learning_rate=1e300, epochs=1, projection_enabled=False)
+        with pytest.raises(TrainingDivergedError,
+                           match="^reconstruction error overflowed at epoch 0$") as exc:
+            train(p, data, cfg)
+        assert exc.value.batch_index is None
+
     def test_stop_recon_error(self, rng):
         p = random_safe_params(rng, 2, 2)
         data = rng.standard_normal((50, 2)) * 0.01
