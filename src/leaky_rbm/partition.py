@@ -15,8 +15,8 @@ between the tractable base and the target:
   running from 1 to 0.  Its intermediate models are the leaky path's,
   spaced evenly in beta; it is kept for the equivalence analysis.
 
-An AIS level's sweep and log-weight increment log f_k(v) - log f_{k-1}(v)
-share one pass eta = v W_k + b_k.  After level 1, scored against the base,
+AIS runs on ``sampler._run_chains``: a level's sweep and log-weight increment
+log f_k(v) - log f_{k-1}(v) share one pass eta = v W_k + b_k.  After level 1,
 the increment is (c_k - c_{k-1}) sum min(eta, 0)^2 / 2 on leakiness paths.
 On the energy path level k - 1 sees r eta, r = s_{k-1} / s_k, so leaky units
 add (1 - r^2) sum alpha eta^2 / 2, Bernoulli units sum softplus(eta) - softplus(r eta).
@@ -47,7 +47,8 @@ from .model import (
     log_marginal_from_response,
 )
 from .projection import is_globally_safe
-from .sampler import LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form, _sweep
+from .sampler import (LOG_2PI, _as_rng, _draw_base, _gaussian_base, _gaussian_closed_form,
+                      _run_chains)
 
 
 class PathKind(enum.Enum):
@@ -114,8 +115,8 @@ class LogZEstimate:
     n_dropped: int = 0
 
 
-def _levels(params: RbmParams, kind: PathKind, grid):
-    """(W, b, c, s) of the intermediate model at each level of ``grid``.
+def _levels(params: RbmParams, kind: PathKind, grid) -> list:
+    """(c, s) of the intermediate model (s W, a, s b) at each level of ``grid``.
 
     Energy path: geometric interpolation at the joint level is equivalent
     to scaling W and b by s = sqrt(1 - beta) for leaky units (the response
@@ -123,15 +124,15 @@ def _levels(params: RbmParams, kind: PathKind, grid):
     for Bernoulli units (it enters linearly), whose c is None.  The leaky
     path sets c to the level, the one-sided path to beta + (1 - beta) c, at s = 1.
     """
-    W, b, c = params.weights, params.hidden_bias, _unit_leakiness(params)
+    c = _unit_leakiness(params)
     grid = np.asarray(grid, dtype=np.float64)
     if kind is PathKind.ENERGY:
         scales = 1.0 - grid if c is None else np.sqrt(1.0 - grid)
-        return ((W * s, b * s, c, s) for s in scales.tolist())
+        return [(c, s) for s in scales.tolist()]
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     if kind is PathKind.ONE_SIDED:
         grid = grid + (1.0 - grid) * c
-    return ((W, b, c_k, 1.0) for c_k in grid.tolist())
+    return [(c_k, 1.0) for c_k in grid.tolist()]
 
 
 def _log_weight_step(eta, c, c_prev, r):
@@ -152,8 +153,8 @@ def _log_weight_step(eta, c, c_prev, r):
 
 def intermediate_log_density(params: RbmParams, kind: PathKind, level: float, v):
     """Log unnormalized density of the intermediate distribution."""
-    ((W, b, c, _s),) = _levels(params, kind, [level])
-    return _log_marginal(params, v, W, b, c)
+    ((c, s),) = _levels(params, kind, [level])
+    return _log_marginal(params, v, params.weights * s, params.hidden_bias * s, c)
 
 
 def gaussian_log_z(params: RbmParams) -> float:
@@ -292,13 +293,13 @@ def ais_estimate(
 ) -> LogZEstimate:
     """Annealed importance sampling estimate of the log partition.
 
-    Particles start at the path's base distribution.  Each level's one
-    response pass gives its log-weight increment, against the base density
-    at level 1 and in closed form after it (module docstring), and then its
-    Gibbs sweep.  Sums stay in the log domain; one particle has standard
-    error inf.  Raises ValueError unless n_particles >= 1 and the path ends
-    at ``params`` (its leakiness on the leaky path, beta = 0 otherwise), and
-    NonPDRegionError unless I - W W^T >= 0 (``_base_sample_and_density``).
+    Particles start at the path's base distribution.  One ``_run_chains``
+    call runs the levels; its ``score`` adds each level's log-weight
+    increment before the sweep, against the base density at level 1 and in
+    closed form after it.  Sums stay in the log domain; one particle has
+    standard error inf.  Raises ValueError unless n_particles >= 1 and the
+    path ends at ``params`` (its leakiness on the leaky path, beta = 0
+    otherwise), and NonPDRegionError unless I - W W^T >= 0 (in the base).
 
     When J < I the chain runs on the model of ``_span_model`` (see the
     module docstring); R has the singular values of W, so feasibility is
@@ -317,22 +318,19 @@ def ais_estimate(
     span, n_dropped_dims = _span_model(params)
     v, base_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
     log_z0 += 0.5 * n_dropped_dims * LOG_2PI
-    a = span.visible_bias
-    W_t = np.ascontiguousarray(span.weights.T)  # the sweep's fastest layout at small J
-    # the level's b (s b, as in _levels), tiled over the particles: an add of
-    # equal shapes runs as one flat loop, where a broadcast length-J row runs
-    # one short loop per particle
-    b_rows = np.tile(span.hidden_bias, (n_particles, 1))
-    for k, (W, _b, c, s) in enumerate(_levels(span, kind, path.grid[1:])):
-        eta = v @ W
-        eta += b_rows if s == 1.0 else b_rows * s
-        if k == 0:  # level 1 is scored against the base density
+    W, a = span.weights, span.visible_bias
+    log_w = c_prev = s_prev = None
+
+    def score(v, eta, c, s):
+        nonlocal log_w, c_prev, s_prev
+        if log_w is None:  # level 1 is scored against the base density
             quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
             log_w = log_marginal_from_response(eta, quad, c) - base_density(v)
         else:
             log_w += _log_weight_step(eta, c, c_prev, s_prev / s)
-        v, _h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, rng)
         c_prev, s_prev = c, s
+    _run_chains(W, a, span.hidden_bias, _levels(span, kind, path.grid[1:]), v, rng,
+                W_t=np.ascontiguousarray(W.T), score=score)  # the fastest W^T at small J
 
     finite = np.isfinite(log_w)
     n_dropped = int(n_particles - finite.sum())

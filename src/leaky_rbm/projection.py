@@ -50,13 +50,6 @@ class ProjectionReport:
     def max_singular_value_after(self) -> float:
         return min(self.max_singular_value_before, 1.0)
 
-    def __repr__(self) -> str:
-        return (
-            f"ProjectionReport(clipped_count={self.clipped_count}, "
-            f"max_singular_value_before={self.max_singular_value_before!r}, "
-            f"max_singular_value_after={self.max_singular_value_after!r})"
-        )
-
 
 def project_spectral(W) -> tuple[np.ndarray, ProjectionReport]:
     """Clip singular values of W at 1, keeping singular vectors.

@@ -2,9 +2,9 @@
 
 Chains are stored as row-stacked arrays and updated in lock-step, so one
 pass over a ChainSet is a couple of matrix products.  Every multi-sweep
-chain, annealed or CD's in ``training``, runs on ``_run_chains``.  All
-randomness comes from a caller-supplied numpy Generator (or a seed),
-which makes every sampler deterministic given its inputs.
+chain runs on ``_run_chains``, CD's in ``training`` and AIS's in
+``partition`` too.  All randomness comes from a caller-supplied numpy
+Generator (or a seed), which makes every sampler deterministic given its inputs.
 """
 from __future__ import annotations
 
@@ -189,8 +189,8 @@ def anneal_leakiness_sample(
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
     rng = _as_rng(rng)
     v = sample_gaussian_base(params, n_chains, rng)
-    return _run_chains(params.weights, params.visible_bias, params.hidden_bias,
-                       schedule.leakiness_sequence().tolist(), v, rng)
+    levels = [(c, 1.0) for c in schedule.leakiness_sequence().tolist()]
+    return _run_chains(params.weights, params.visible_bias, params.hidden_bias, levels, v, rng)
 
 
 def mix_sample(
@@ -215,18 +215,27 @@ def mix_sample(
     else:
         idx = rng.integers(data_batch.shape[0], size=n_chains)
         v = data_batch[idx]
-    return _run_chains(params.weights, params.visible_bias, params.hidden_bias,
-                       schedule.leakiness_sequence().tolist(), v, rng)
+    levels = [(c, 1.0) for c in schedule.leakiness_sequence().tolist()]
+    return _run_chains(params.weights, params.visible_bias, params.hidden_bias, levels, v, rng)
 
 
-def _run_chains(W, a, b, leakiness, v, rng, eta=None) -> ChainSet:
-    """Gibbs sweeps from v, one ``_sweep`` per leakiness, None meaning Bernoulli units.
+def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> ChainSet:
+    """Gibbs sweeps from v, one ``_sweep`` per level (c, s): the model (s W, a, s b) at c.
 
-    ``eta``, when given, is the first sweep's responses v W + b.  v and
-    eta are not written; an empty schedule returns v with h all zeros.
+    c None means Bernoulli units.  ``eta``, when given, is the first sweep's v W + b;
+    ``W_t`` is W^T in any layout, by default the view W.T; and ``score(v, eta, c, s)``
+    runs before each sweep.  v and eta are not written; no levels give h = 0.
     """
-    h = None if leakiness else np.zeros((v.shape[0], W.shape[1]))
-    for c_t in leakiness:
-        v, h = _sweep(v @ W + b if eta is None else eta, W.T, a, c_t, rng)
+    W_t = W.T if W_t is None else W_t
+    h = None if levels else np.zeros((v.shape[0], W.shape[1]))
+    b_rows = None  # b tiled over the chains once: one flat add, not a short loop per chain
+    for c, s in levels:
+        if eta is None:
+            eta = v @ W if s == 1.0 else v @ (W * s)
+            b_rows = np.tile(b, (v.shape[0], 1)) if b_rows is None else b_rows
+            eta += b_rows if s == 1.0 else b_rows * s
+        if score is not None:
+            score(v, eta, c, s)
+        v, h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, rng)
         eta = None
     return ChainSet(v=v, h=h)

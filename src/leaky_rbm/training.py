@@ -14,10 +14,10 @@ products go into buffers allocated once per epoch, and the gradient,
 velocity and weights are updated in place, in the order of the textbook
 formulas, so the result is bit for bit that of the public phases below.
 W has a velocity buffer only with momentum, and the weight-decay product
-is formed only with weight decay.  The new
-parameters are checked for finiteness once per minibatch, before the
-projection.  ``positive_phase`` and ``negative_phase`` run the same
-helpers, with every sampler.
+is formed only with weight decay.  Parameters are checked for finiteness
+once per minibatch, before the projection, and the reconstruction error
+once per epoch, so numpy's overflow warnings are silenced until then.
+``positive_phase`` and ``negative_phase`` run the same helpers, with every sampler.
 """
 from __future__ import annotations
 
@@ -165,7 +165,7 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     the annealed schemes, which do not read eta, follow their schedule.
     """
     if config.neg_sampler is NegSampler.CD:
-        return _run_chains(W, a, b, [c] * config.cd_steps, batch, rng, eta).v
+        return _run_chains(W, a, b, [(c, 1.0)] * config.cd_steps, batch, rng, eta).v
     if c is None:
         raise ValueError("leakiness annealing requires leaky hidden units")
     schedule = config.anneal or AnnealSchedule(c_target=c, total_steps=config.cd_steps)
@@ -173,7 +173,8 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
         _, mean, chol_prec, _ = _gaussian_base(W, a, b)
         v = _draw_base(mean, chol_prec, len(batch), rng)
-    return _run_chains(W, a, b, schedule.leakiness_sequence().tolist(), v, rng).v
+    levels = [(c_t, 1.0) for c_t in schedule.leakiness_sequence().tolist()]
+    return _run_chains(W, a, b, levels, v, rng).v
 
 
 def reconstruction_error(params: RbmParams, batch) -> float:
@@ -230,36 +231,36 @@ def train(
         del params
         g_W, neg_dW = np.empty_like(W), np.empty_like(W)
         order = rng.permutation(n)
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            batch = data[order[start : start + config.batch_size]]
-            eta = batch @ W
-            eta += b
-            _, pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)
-            v = _chain_ends(W, a, b, c, batch, eta, config, rng)
-            eta = v @ W
-            eta += b
-            _, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)
-            # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
-            # W = W + vel.  A zero weight decay or momentum skips its
-            # product, which could change only the sign of an exact zero.
-            g_W -= neg_dW
-            if config.weight_decay > 0:
-                g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
-            g_W *= config.learning_rate
-            if vel_W is not None:
-                vel_W *= config.momentum
-                vel_W += g_W
-            vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
-            W += g_W if vel_W is None else vel_W
-            b = b + vel_b
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise TrainingDivergedError(epoch, bi)
-            if config.projection_enabled:
-                W = _clip(W)[0]
-        del g_W, neg_dW
-        params = params0.with_(weights=W, hidden_bias=b)
-        # finite weights can still overflow the reconstruction
         with np.errstate(over="ignore", invalid="ignore"):
+            for bi, start in enumerate(range(0, n, config.batch_size)):
+                batch = data[order[start : start + config.batch_size]]
+                eta = batch @ W
+                eta += b
+                _, pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)
+                v = _chain_ends(W, a, b, c, batch, eta, config, rng)
+                eta = v @ W
+                eta += b
+                _, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)
+                # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
+                # W = W + vel.  A zero weight decay or momentum skips its
+                # product, which could change only the sign of an exact zero.
+                g_W -= neg_dW
+                if config.weight_decay > 0:
+                    g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
+                g_W *= config.learning_rate
+                if vel_W is not None:
+                    vel_W *= config.momentum
+                    vel_W += g_W
+                vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
+                W += g_W if vel_W is None else vel_W
+                b = b + vel_b
+                if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                    raise TrainingDivergedError(epoch, bi)
+                if config.projection_enabled:
+                    W = _clip(W)[0]
+            del g_W, neg_dW
+            params = params0.with_(weights=W, hidden_bias=b)
+            # finite weights can still overflow the reconstruction
             recon = reconstruction_error(params, data)
         if not np.isfinite(recon):
             raise TrainingDivergedError(epoch)

@@ -170,6 +170,20 @@ class TestExitCodes:
         assert captured.err == "numerical failure: reconstruction error overflowed at epoch 0\n"
         assert not (tmp_path / "model.rbm").exists()
 
+    def test_overflowing_minibatches_exit_2_with_one_line(self, tmp_path):
+        # the weights overflow inside the epoch's minibatches; a child
+        # interpreter shows stderr as a user sees it, numpy's warnings included
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((50, 4)), delimiter=",")
+        argv = ["--out", str(tmp_path), "train", "--data", str(data), "--hidden", "2",
+                "--epochs", "3", "--batch-size", "10", "--learning-rate", "1e150",
+                "--no-projection"]
+        proc = subprocess.run([sys.executable, "-m", "leaky_rbm.cli", *argv], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "numerical failure: non-finite parameters at epoch 0, batch 1\n"
+        assert not (tmp_path / "model.rbm").exists()
+
     def test_sample_where_the_subset_eigensolve_failed(self, tmp_path, capsys):
         # LAPACK's dsyevr raised LinAlgError("Internal Error.") on this
         # projected 64 x 16 model, and sample exited 1

@@ -390,9 +390,9 @@ class TestAisEstimate:
         numpy's matmul flags the inf rows, so its overflow and invalid
         warnings are ignored for the run.
         """
-        import leaky_rbm.partition as partition
+        import leaky_rbm.sampler as sampler
 
-        sweep, calls = partition._sweep, []
+        sweep, calls = sampler._sweep, []
 
         def blow_up(*args):
             v, h = sweep(*args)
@@ -401,7 +401,7 @@ class TestAisEstimate:
             calls.append(1)
             return v, h
 
-        monkeypatch.setattr(partition, "_sweep", blow_up)
+        monkeypatch.setattr(sampler, "_sweep", blow_up)
         p = random_orthogonal(make_rng(6), 64, 16, 0.01)
         with np.errstate(invalid="ignore", over="ignore"):
             return ais_estimate(p, _path(kind, p, 10), 50, make_rng(0))
@@ -458,7 +458,6 @@ def _reference_log_weights(p, path, n_particles, seed):
 @pytest.fixture
 def sweeps(monkeypatch):
     """The (v, h) of every Gibbs sweep, from the AIS loop and ``gibbs_step`` alike."""
-    import leaky_rbm.partition as partition
     import leaky_rbm.sampler as sampler
 
     record = []
@@ -468,7 +467,6 @@ def sweeps(monkeypatch):
         record.append(sweep(*args))
         return record[-1]
 
-    monkeypatch.setattr(partition, "_sweep", spy)
     monkeypatch.setattr(sampler, "_sweep", spy)
     return record
 

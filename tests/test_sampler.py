@@ -17,7 +17,7 @@ from leaky_rbm import (
     sample_gaussian_base,
 )
 from leaky_rbm.projection import project_spectral
-from leaky_rbm.sampler import _sweep, gaussian_base_moments, make_rng
+from leaky_rbm.sampler import _run_chains, _sweep, gaussian_base_moments, make_rng
 from leaky_rbm.partition import gaussian_log_z, quadrature_log_z
 from leaky_rbm.model import log_unnorm_marginal
 
@@ -404,14 +404,15 @@ class TestMixSample:
         y = sample_gaussian_base(p, n, make_rng(42))
         pooled = np.vstack([x, y])
         D = cdist(pooled, pooled)
+        r = D.sum(axis=1)
 
         def estat(idx):
-            a, b = idx[:n], idx[n:]
-            return (
-                2 * D[np.ix_(a, b)].mean()
-                - D[np.ix_(a, a)].mean()
-                - D[np.ix_(b, b)].mean()
-            )
+            # the three block sums from one mat-vec, t the first group's indicator
+            t = np.zeros(2 * n)
+            t[idx[:n]] = 1.0
+            s_aa, t_r = t @ D @ t, t @ r
+            s_ab, s_bb = t_r - s_aa, r.sum() - 2 * t_r + s_aa
+            return (2 * s_ab - s_aa - s_bb) / n**2
 
         observed = estat(np.arange(2 * n))
         g = make_rng(43)
@@ -465,3 +466,60 @@ class TestAnnealedSweeps:
             anneal_leakiness_sample(p, sched, 4, make_rng(0))
         with pytest.raises(ValueError, match="leaky hidden units"):
             mix_sample(p, np.zeros((4, 2)), sched, make_rng(0))
+
+
+class TestRunChains:
+    """_run_chains over levels (c, s) is, bit for bit, a gibbs_step loop over
+    the models (s W, a, s b) at leakiness c, whatever the layout of W^T and
+    whether the caller gives the first responses; ``score`` sees each
+    level's chains and responses v (s W) + s b before its sweep."""
+
+    SCALES = (1.0, 0.7, 0.4)
+
+    @pytest.fixture(params=list(HiddenKind), ids=lambda kind: kind.value)
+    def model(self, request, rng):
+        W = random_safe_params(rng, 5, 3, max_norm=0.9).weights
+        return RbmParams.create(W, hidden_bias=rng.uniform(-1.0, 1.0, 3),
+                                visible_bias=rng.uniform(-1.0, 1.0, 5), leakiness=0.3,
+                                hidden_kind=request.param)
+
+    @staticmethod
+    def _reference(p, v, g):
+        states, h = [], None
+        for s in TestRunChains.SCALES:
+            states.append(v)
+            v, h = gibbs_step(p.with_(weights=s * p.weights, hidden_bias=s * p.hidden_bias), v, g)
+        return states, v, h
+
+    @pytest.mark.parametrize("contiguous", [False, True], ids=["view", "copy"])
+    @pytest.mark.parametrize("given_eta", [False, True], ids=["eta", "given-eta"])
+    def test_equals_gibbs_step_loop(self, model, rng, contiguous, given_eta):
+        W, a, b = model.weights, model.visible_bias, model.hidden_bias
+        c = None if model.hidden_kind is HiddenKind.BERNOULLI else model.leakiness
+        v0 = rng.standard_normal((8, 5))
+        eta = v0 @ W + b if given_eta else None
+        v0_before, eta_before = v0.copy(), None if eta is None else eta.copy()
+        seen = []
+
+        def score(v, eta, c_k, s):
+            seen.append((v.copy(), eta.copy(), c_k, s))
+
+        chains = _run_chains(W, a, b, [(c, s) for s in self.SCALES], v0, make_rng(5), eta,
+                             np.ascontiguousarray(W.T) if contiguous else None, score)
+        states, v_ref, h_ref = self._reference(model, v0, make_rng(5))
+        _assert_same_bits(chains.v, v_ref)
+        _assert_same_bits(chains.h, h_ref)
+        assert [(c_k, s) for _v, _eta, c_k, s in seen] == [(c, s) for s in self.SCALES]
+        for (v, eta_k, _c, s), state in zip(seen, states):
+            _assert_same_bits(v, state)
+            _assert_same_bits(eta_k, v @ (s * W) + s * b)
+        np.testing.assert_array_equal(v0, v0_before)
+        if eta is not None:
+            np.testing.assert_array_equal(eta, eta_before)
+
+    def test_no_levels_return_v_and_zero_h(self, model, rng):
+        v0 = rng.standard_normal((4, 5))
+        chains = _run_chains(model.weights, model.visible_bias, model.hidden_bias, [], v0,
+                             make_rng(6))
+        assert chains.v is v0
+        _assert_same_bits(chains.h, np.zeros((4, 3)))
