@@ -2,9 +2,9 @@
 
 Three exact references are available at small scale: the closed form for
 orthogonal-column models with zero hidden bias, the leakiness-1 Gaussian
-closed form, and for I <= 2 the sum of the marginal's Gaussian integrals
-over its activation regions.  AIS supports three interpolation schemes
-between the tractable base and the target:
+closed form, and for I <= 2 (or J <= 2, on the span of W) the sum of the
+marginal's Gaussian integrals over its activation regions.  AIS supports
+three interpolation schemes between the tractable base and the target:
 
 * energy path: geometric interpolation of the energy, which scales the
   weights toward zero on the way back to a standard normal (two-sided
@@ -15,8 +15,10 @@ between the tractable base and the target:
   running from 1 to 0.  Its intermediate models are the leaky path's,
   spaced evenly in beta; it is kept for the equivalence analysis.
 
-AIS runs on ``sampler._run_chains``: a level's sweep and log-weight increment
-log f_k(v) - log f_{k-1}(v) share one pass eta = v W_k + b_k.  After level 1,
+AIS runs levels 1 to L - 1 on ``sampler._run_chains``: a level's sweep and
+log-weight increment log f_k(v) - log f_{k-1}(v) share one pass
+eta = v W_k + b_k.  Level L is scored on the particles that come back and
+swept by nothing, as no weight reads its sweep.  After level 1,
 the increment is (c_k - c_{k-1}) sum min(eta, 0)^2 / 2 on leakiness paths.
 On the energy path level k - 1 sees r eta, r = s_{k-1} / s_k, so leaky units
 add (1 - r^2) sum alpha eta^2 / 2, Bernoulli units sum softplus(eta) - softplus(r eta).
@@ -201,16 +203,22 @@ def exact_log_z_orthogonal(params: RbmParams) -> float:
 
 
 def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
-    """Exact log partition of a leaky model with I <= 2, region by region.
+    """Exact log partition of a leaky model with I <= 2 or J <= 2, region by region.
 
     On each activation region the marginal is a Gaussian: for I = 1 log Z
     sums closed-form integrals, for I = 2 so does the inner y-integral at
     each x, and the outer x-integral is one ``quad`` per interval between
-    kinks, to relative ``tolerance`` (at least 1e-12).  Raises
-    DivergentIntegralError when the marginal does not decay along a ray.
+    kinks, to relative ``tolerance`` (at least 1e-12).  When I > 2 and
+    J <= 2 it integrates the J-visible ``_span_model`` and adds the
+    (I - J) log(2 pi) / 2 of the dropped dimensions.  Raises DimensionError
+    when both I > 2 and J > 2, and DivergentIntegralError when the marginal
+    does not decay along a ray.
     """
+    n_dropped_dims = 0
     if params.n_visible > 2:
-        raise DimensionError("quadrature oracle supports at most 2 visible units")
+        if params.n_hidden > 2:
+            raise DimensionError("quadrature oracle supports at most 2 visible or 2 hidden units")
+        params, n_dropped_dims = _span_model(params)
     _require_kind(params, HiddenKind.LEAKY_RELU, "quadrature_log_z")
     # a module of its own, as only this oracle needs scipy.integrate and .special
     from ._quadrature import _line_log_integral, _plane_log_z
@@ -219,8 +227,10 @@ def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
     W, c = params.weights, params.leakiness
     b = params.hidden_bias + params.visible_bias @ W  # shift v by a
     if params.n_visible == 2:
-        return float(_plane_log_z(W, b, c, epsrel))
-    return float(_line_log_integral(W[0].tolist(), b.tolist(), 0.0, c, epsrel))
+        log_z = _plane_log_z(W, b, c, epsrel)
+    else:
+        log_z = _line_log_integral(W[0].tolist(), b.tolist(), 0.0, c, epsrel)
+    return float(log_z) + 0.5 * n_dropped_dims * LOG_2PI
 
 
 def exact_log_z_bernoulli(params: RbmParams) -> float:
@@ -268,23 +278,19 @@ def _span_model(params: RbmParams) -> tuple[RbmParams, int]:
 
 
 def _base_sample_and_density(params: RbmParams, kind: PathKind, n: int, rng):
-    """Draw base particles; return (v, base log density fn, base log Z)."""
+    """Draw n base particles; return (v, their base log densities, base log Z)."""
     W, a, b = params.weights, params.visible_bias, params.hidden_bias
     if kind is PathKind.ENERGY:  # builds no c = 1 base, so checks feasibility here
         safe, min_eig = is_globally_safe(W)
         if not safe:
             raise NonPDRegionError(min_eig, "AIS requires I - WW^T >= 0")
         v = a + rng.standard_normal((n, params.n_visible))
-        density = lambda x: -0.5 * np.sum((x - a) ** 2, axis=-1)
-        log_z0 = 0.5 * params.n_visible * LOG_2PI
-        return v, density, log_z0
+        return v, -0.5 * np.sum((v - a) ** 2, axis=-1), 0.5 * params.n_visible * LOG_2PI
     # leaky / one-sided: the exact c = 1 Gaussian, which checks feasibility;
-    # draws, density and log Z all belong to its (possibly shrunk) model
+    # draws, densities and log Z all belong to its (possibly shrunk) model
     W_base, mean, chol_prec, log_z0 = _gaussian_base(W, a, b)
     v = _draw_base(mean, chol_prec, n, rng)
-    density = lambda x: log_marginal_from_response(
-        x @ W_base + b, 0.5 * np.sum((x - a) ** 2, axis=-1), 1.0
-    )
+    density = log_marginal_from_response(v @ W_base + b, 0.5 * np.sum((v - a) ** 2, axis=-1), 1.0)
     return v, density, log_z0
 
 
@@ -294,12 +300,15 @@ def ais_estimate(
     """Annealed importance sampling estimate of the log partition.
 
     Particles start at the path's base distribution.  One ``_run_chains``
-    call runs the levels; its ``score`` adds each level's log-weight
+    call runs levels 1 to L - 1; its ``score`` adds each level's log-weight
     increment before the sweep, against the base density at level 1 and in
-    closed form after it.  Sums stay in the log domain; one particle has
-    standard error inf.  Raises ValueError unless n_particles >= 1 and the
-    path ends at ``params`` (its leakiness on the leaky path, beta = 0
-    otherwise), and NonPDRegionError unless I - W W^T >= 0 (in the base).
+    closed form after it.  Level L, the model itself (s = 1), is scored on
+    the particles that call returns: no weight reads a sweep at level L, so
+    an L-level estimate makes L - 1 sweeps.  Sums stay in the log domain;
+    one particle has standard error inf.  Raises ValueError unless
+    n_particles >= 1 and the path ends at ``params`` (its leakiness on the
+    leaky path, beta = 0 otherwise), and NonPDRegionError unless
+    I - W W^T >= 0 (in the base).
 
     When J < I the chain runs on the model of ``_span_model`` (see the
     module docstring); R has the singular values of W, so feasibility is
@@ -316,7 +325,7 @@ def ais_estimate(
     if path.grid[-1] != target:
         raise ValueError(f"{kind.value} path ends at {path.grid[-1]:g}, not at {target:g}")
     span, n_dropped_dims = _span_model(params)
-    v, base_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
+    v, base_log_density, log_z0 = _base_sample_and_density(span, kind, n_particles, rng)
     log_z0 += 0.5 * n_dropped_dims * LOG_2PI
     W, a = span.weights, span.visible_bias
     log_w = c_prev = s_prev = None
@@ -325,12 +334,14 @@ def ais_estimate(
         nonlocal log_w, c_prev, s_prev
         if log_w is None:  # level 1 is scored against the base density
             quad = 0.5 * np.sum((v - a) ** 2, axis=-1)
-            log_w = log_marginal_from_response(eta, quad, c) - base_density(v)
+            log_w = log_marginal_from_response(eta, quad, c) - base_log_density
         else:
             log_w += _log_weight_step(eta, c, c_prev, s_prev / s)
         c_prev, s_prev = c, s
-    _run_chains(W, a, span.hidden_bias, _levels(span, kind, path.grid[1:]), v, rng,
-                W_t=np.ascontiguousarray(W.T), score=score)  # the fastest W^T at small J
+    *levels, (c_last, s_last) = _levels(span, kind, path.grid[1:])
+    v = _run_chains(W, a, span.hidden_bias, levels, v, rng,
+                    W_t=np.ascontiguousarray(W.T), score=score).v  # the fastest W^T at small J
+    score(v, v @ W + span.hidden_bias, c_last, s_last)  # s_last = 1: the path ends at the model
 
     finite = np.isfinite(log_w)
     n_dropped = int(n_particles - finite.sum())

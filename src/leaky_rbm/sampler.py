@@ -1,10 +1,11 @@
 """Gibbs sampling and the leakiness-annealing meta-sampler.
 
 Chains are stored as row-stacked arrays and updated in lock-step, so one
-pass over a ChainSet is a couple of matrix products.  Every multi-sweep
-chain runs on ``_run_chains``, CD's in ``training`` and AIS's in
-``partition`` too.  All randomness comes from a caller-supplied numpy
-Generator (or a seed), which makes every sampler deterministic given its inputs.
+pass over a ChainSet is a couple of matrix products.  Every Gibbs sweep
+runs on ``_run_chains``: ``gibbs_step``'s single one, CD's in ``training``
+and AIS's in ``partition`` too.  All randomness comes from a caller-supplied
+numpy Generator (or a seed), which makes every sampler deterministic given
+its inputs.
 """
 from __future__ import annotations
 
@@ -146,12 +147,12 @@ def sample_gaussian_base(params: RbmParams, n: int, rng) -> np.ndarray:
 def gibbs_step(params: RbmParams, v: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """One full sweep: sample h | v, then v | h, for a batch of chains.
 
-    v is one row or (n, I) rows, checked like ``train``'s data.  Returns (v', h').
+    v is one row or (n, I) rows, checked like ``train``'s data.  Returns (v', h'):
+    one level of ``_run_chains``, the model at its own leakiness.
     """
-    rng = _as_rng(rng)
-    v = _check_data(params, v)
-    eta = v @ params.weights + params.hidden_bias
-    return _sweep(eta, params.weights.T, params.visible_bias, _unit_leakiness(params), rng)
+    chains = _run_chains(params.weights, params.visible_bias, params.hidden_bias,
+                         [(_unit_leakiness(params), 1.0)], _check_data(params, v), _as_rng(rng))
+    return chains.v, chains.h
 
 
 def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -236,11 +236,11 @@ def train(
                 batch = data[order[start : start + config.batch_size]]
                 eta = batch @ W
                 eta += b
-                _, pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)
+                pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)[1]
                 v = _chain_ends(W, a, b, c, batch, eta, config, rng)
                 eta = v @ W
                 eta += b
-                _, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)
+                neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)[1]
                 # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
                 # W = W + vel.  A zero weight decay or momentum skips its
                 # product, which could change only the sign of an exact zero.

@@ -110,9 +110,19 @@ class TestQuadrature:
         )
 
     def test_rejects_high_dimension(self):
-        p = RbmParams.create(np.zeros((3, 1)))
+        p = RbmParams.create(np.zeros((3, 3)))
         with pytest.raises(DimensionError):
             quadrature_log_z(p)
+
+    @pytest.mark.parametrize("n_hidden", [1, 2])
+    def test_many_visible_units_on_the_span(self, n_hidden):
+        p = random_orthogonal_params(64, n_hidden, 0.01, np.random.default_rng([0, 64, n_hidden]))
+        assert quadrature_log_z(p) == pytest.approx(exact_log_z_orthogonal(p), rel=1e-12)
+
+    def test_many_visible_units_with_biases_at_c1(self, rng):
+        p = random_safe_params(rng, 64, 2, leakiness=1.0, max_norm=0.95)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 64))
+        assert quadrature_log_z(p) == pytest.approx(gaussian_log_z(p), rel=1e-12)
 
     def test_divergent_model_raises(self):
         W = np.diag([1.5, 0.2])
@@ -266,9 +276,7 @@ class TestAnnealingPath:
             p, PathKind.LEAKY, 64, make_rng(seed)
         )
         np.testing.assert_array_equal(v, sample_gaussian_base(p, 64, make_rng(seed)))
-        np.testing.assert_array_equal(
-            density(v), log_unnorm_marginal(once, v, leakiness=1.0)
-        )
+        np.testing.assert_array_equal(density, log_unnorm_marginal(once, v, leakiness=1.0))
         assert log_z_base == gaussian_log_z(once)
 
 
@@ -431,7 +439,8 @@ def _path(kind, p, n_levels):
 
 
 def _reference_log_weights(p, path, n_particles, seed):
-    """AIS log weights from a loop over models rebuilt at every level."""
+    """AIS log weights from a loop over models rebuilt at every level, with
+    a ``gibbs_step`` between levels and none after the last."""
     def level_model(level):
         if path.kind is PathKind.ENERGY:
             s = 1.0 - float(level)
@@ -444,15 +453,15 @@ def _reference_log_weights(p, path, n_particles, seed):
     score = (bernoulli_log_unnorm_marginal if p.hidden_kind is HiddenKind.BERNOULLI
              else log_unnorm_marginal)
     rng = make_rng(seed)
-    v, base_density, _ = _base_sample_and_density(p, path.kind, n_particles, rng)
+    v, prev, _ = _base_sample_and_density(p, path.kind, n_particles, rng)
     log_w = np.zeros(n_particles)
-    prev = base_density(v)
-    for level in path.grid[1:]:
+    for k, level in enumerate(path.grid[1:], start=1):
         q = level_model(level)
         log_w += score(q, v) - prev
+        if k == len(path.grid) - 1:
+            return log_w
         v, _h = gibbs_step(q, v, rng)
         prev = score(q, v)
-    return log_w
 
 
 @pytest.fixture
@@ -481,9 +490,10 @@ def _bernoulli_params(rng, n_visible, n_hidden):
 class TestAisKernel:
     """ais_estimate runs the level loop on raw arrays, on the span model
     when J < I and on the model itself otherwise: every sweep state is
-    the reference loop's bit for bit.  The log weights sum closed-form
-    increments where the reference takes differences of marginals, so
-    they agree to rounding (worst seen 4.5e-15)."""
+    the reference loop's bit for bit, and an L-level estimate sweeps L - 1
+    times, as no weight reads a sweep at level L.  The log weights sum
+    closed-form increments where the reference takes differences of
+    marginals, so they agree to rounding (worst seen 4.5e-15)."""
 
     @pytest.fixture
     def leaky(self, rng):
@@ -496,7 +506,7 @@ class TestAisKernel:
         ais_sweeps = sweeps[:]
         sweeps.clear()
         reference = _reference_log_weights(_span_model(p)[0], path, 40, seed)
-        assert len(ais_sweeps) == len(sweeps) == len(path.grid) - 1
+        assert len(ais_sweeps) == len(sweeps) == len(path.grid) - 2
         for (v, h), (v_ref, h_ref) in zip(ais_sweeps, sweeps):
             np.testing.assert_array_equal(v, v_ref)
             np.testing.assert_array_equal(h, h_ref)
@@ -525,6 +535,18 @@ class TestAisKernel:
         span, n_dropped_dims = _span_model(p)
         assert span is p and n_dropped_dims == 0
         self._check(sweeps, p, _path(kind, p, 30), 15)
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 20])
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_no_sweep_after_the_last_weight(self, sweeps, leaky, kind, n_levels):
+        ais_estimate(leaky, _path(kind, leaky, n_levels), 8, make_rng(17))
+        assert len(sweeps) == n_levels - 1
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 20])
+    def test_bernoulli_no_sweep_after_the_last_weight(self, sweeps, rng, n_levels):
+        ais_estimate(_bernoulli_params(rng, 4, 3), AnnealingPath.energy(n_levels), 8,
+                     make_rng(17))
+        assert len(sweeps) == n_levels - 1
 
     def test_models_built_do_not_grow_with_levels(self, leaky, monkeypatch):
         built = []
@@ -628,9 +650,9 @@ class TestLogWeightIncrements:
         v0, base_density, _ = _base_sample_and_density(span, kind, 50, make_rng(8))
         if kind is not PathKind.ENERGY and p.max_singular_value() > 1.0 - 1e-6:
             # the leaky base is the shrunk c = 1 model, not level 0
-            assert not np.allclose(base_density(v0), density(0, v0), rtol=1e-9)
-        first = density(1, v0) - base_density(v0)
-        assert len(steps) == len(sweeps) - 1 == len(path.grid) - 2
+            assert not np.allclose(base_density, density(0, v0), rtol=1e-9)
+        first = density(1, v0) - base_density
+        assert len(steps) == len(sweeps) == len(path.grid) - 2
         for k, (increment, (v, _h)) in enumerate(zip(steps, sweeps), start=2):
             high, low = density(k, v), density(k - 1, v)
             scale = np.maximum(np.abs(high), np.abs(low))

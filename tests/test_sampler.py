@@ -161,6 +161,23 @@ class TestGibbsStep:
         _, h = gibbs_step(p, v, make_rng(3))
         assert abs(h.var() - c) < 0.01
 
+    @pytest.mark.parametrize("kind", list(HiddenKind), ids=lambda kind: kind.value)
+    def test_is_one_level_of_run_chains(self, monkeypatch, rng, kind):
+        import leaky_rbm.sampler as sampler
+
+        seen, run = [], sampler._run_chains
+
+        def spy(W, a, b, levels, v, g, *args, **kwargs):
+            seen.append((levels, run(W, a, b, levels, v, g, *args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(sampler, "_run_chains", spy)
+        p = random_safe_params(rng, 3, 2, leakiness=0.2).with_(hidden_kind=kind)
+        v, h = gibbs_step(p, rng.standard_normal((4, 3)), make_rng(2))
+        ((levels, chains),) = seen
+        assert levels == [(None if kind is HiddenKind.BERNOULLI else 0.2, 1.0)]
+        assert v is chains.v and h is chains.h
+
     def test_rows_checked_like_training_data(self):
         p = RbmParams.create(np.full((2, 2), 0.3), leakiness=0.5)
         with pytest.raises(DimensionError):
@@ -256,6 +273,17 @@ def _assert_same_bits(x, y):
     assert x.tobytes() == y.tobytes()  # signed zeros too
 
 
+def _textbook_sweep(eta, W, a, c, g):
+    """(v, h) of the sweep as ``TestSweepKernel`` writes it, drawn from g."""
+    if c is None:
+        p_on = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+        h = (g.random(eta.shape) < p_on).astype(np.float64)
+    else:
+        alpha = np.where(eta > 0, 1.0, c)
+        h = alpha * eta + np.sqrt(alpha) * g.standard_normal(eta.shape)
+    return (h @ W.T + a) + g.standard_normal((eta.shape[0], W.shape[0])), h
+
+
 class TestSweepKernel:
     """_sweep against the textbook sweep, drawn from a fresh generator of the same seed.
 
@@ -291,9 +319,7 @@ class TestSweepKernel:
         for W_t in self._layouts(W):
             g, g_ref = make_rng(21), make_rng(21)
             v, h = _sweep(eta, W_t, a, c, g)
-            alpha = np.where(eta > 0, 1.0, c)
-            h_ref = alpha * eta + np.sqrt(alpha) * g_ref.standard_normal(eta.shape)
-            v_ref = (h_ref @ W.T + a) + g_ref.standard_normal((eta.shape[0], n_visible))
+            v_ref, h_ref = _textbook_sweep(eta, W, a, c, g_ref)
             _assert_same_bits(h, h_ref)
             _assert_same_bits(v, v_ref)
             assert g.bit_generator.state == g_ref.bit_generator.state
@@ -305,9 +331,7 @@ class TestSweepKernel:
         for W_t in self._layouts(W):
             g, g_ref = make_rng(22), make_rng(22)
             v, h = _sweep(eta, W_t, a, None, g)
-            p_on = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
-            h_ref = (g_ref.random(eta.shape) < p_on).astype(np.float64)
-            v_ref = (h_ref @ W.T + a) + g_ref.standard_normal((eta.shape[0], n_visible))
+            v_ref, h_ref = _textbook_sweep(eta, W, a, None, g_ref)
             _assert_same_bits(h, h_ref)
             _assert_same_bits(v, v_ref)
             assert g.bit_generator.state == g_ref.bit_generator.state
@@ -469,10 +493,10 @@ class TestAnnealedSweeps:
 
 
 class TestRunChains:
-    """_run_chains over levels (c, s) is, bit for bit, a gibbs_step loop over
-    the models (s W, a, s b) at leakiness c, whatever the layout of W^T and
-    whether the caller gives the first responses; ``score`` sees each
-    level's chains and responses v (s W) + s b before its sweep."""
+    """_run_chains over levels (c, s) is, bit for bit, the textbook sweep of
+    the models (s W, a, s b) at leakiness c, level after level, whatever the
+    layout of W^T and whether the caller gives the first responses; ``score``
+    sees each level's chains and responses v (s W) + s b before its sweep."""
 
     SCALES = (1.0, 0.7, 0.4)
 
@@ -485,15 +509,17 @@ class TestRunChains:
 
     @staticmethod
     def _reference(p, v, g):
+        c = None if p.hidden_kind is HiddenKind.BERNOULLI else p.leakiness
         states, h = [], None
         for s in TestRunChains.SCALES:
             states.append(v)
-            v, h = gibbs_step(p.with_(weights=s * p.weights, hidden_bias=s * p.hidden_bias), v, g)
+            W = s * p.weights
+            v, h = _textbook_sweep(v @ W + s * p.hidden_bias, W, p.visible_bias, c, g)
         return states, v, h
 
     @pytest.mark.parametrize("contiguous", [False, True], ids=["view", "copy"])
     @pytest.mark.parametrize("given_eta", [False, True], ids=["eta", "given-eta"])
-    def test_equals_gibbs_step_loop(self, model, rng, contiguous, given_eta):
+    def test_equals_textbook_sweeps(self, model, rng, contiguous, given_eta):
         W, a, b = model.weights, model.visible_bias, model.hidden_bias
         c = None if model.hidden_kind is HiddenKind.BERNOULLI else model.leakiness
         v0 = rng.standard_normal((8, 5))
