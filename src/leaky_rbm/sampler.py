@@ -3,7 +3,10 @@
 Chains are stored as row-stacked arrays and updated in lock-step, so one
 pass over a ChainSet is a couple of matrix products.  Every Gibbs sweep
 runs on ``_run_chains``: ``gibbs_step``'s single one, CD's in ``training``
-and AIS's in ``partition`` too.  All randomness comes from a caller-supplied
+and AIS's in ``partition`` too.  The annealed chains, those of
+``anneal_leakiness_sample``, ``mix_sample`` and training's annealed
+negative phases, all run on ``_anneal``, the one place that turns an
+``AnnealSchedule`` into levels.  All randomness comes from a caller-supplied
 numpy Generator (or a seed), which makes every sampler deterministic given
 its inputs.
 """
@@ -38,39 +41,28 @@ def _as_rng(rng) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Leakiness schedule: decrement by epsilon per step, clamp at target.
+    """Leakiness schedule from c = 1: decrement per step, clamp at the target.
 
-    The default epsilon finishes the anneal within the first 90% of steps,
-    leaving the tail at the target leakiness.
+    The decrement, (1 - c_target) / (0.9 total_steps), finishes the anneal
+    within the first 90% of steps, leaving the tail at the target leakiness.
     """
 
     c_target: float
     total_steps: int
-    c_start: float = 1.0
-    epsilon: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.c_target <= self.c_start <= 1.0):
-            raise ValueError("need 0 < c_target <= c_start <= 1")
+        if not 0.0 < self.c_target <= 1.0:  # negated so that NaN fails it too
+            raise ValueError("need 0 < c_target <= 1")
         if self.total_steps < 0:
             raise ValueError("total_steps must be non-negative")
-        if self.epsilon is None:
-            span = self.c_start - self.c_target
-            if span == 0.0 or self.total_steps == 0:
-                eps = 0.0
-            else:
-                eps = span / (0.9 * self.total_steps)
-            object.__setattr__(self, "epsilon", eps)
-        elif not self.epsilon >= 0:  # negated so that NaN fails it too
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     def leakiness_sequence(self) -> np.ndarray:
         """The leakiness used at each of the total_steps Gibbs sweeps."""
         out = np.empty(self.total_steps)
-        c = self.c_start
+        c = 1.0
         for t in range(self.total_steps):
             if c > self.c_target:
-                c = max(c - self.epsilon, self.c_target)
+                c = max(c - (1.0 - self.c_target) / (0.9 * self.total_steps), self.c_target)
             out[t] = c
         return out
 
@@ -188,36 +180,33 @@ def anneal_leakiness_sample(
     ValueError for Bernoulli hidden units, which have no leakiness.
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
-    rng = _as_rng(rng)
-    v = sample_gaussian_base(params, n_chains, rng)
-    levels = [(c, 1.0) for c in schedule.leakiness_sequence().tolist()]
-    return _run_chains(params.weights, params.visible_bias, params.hidden_bias, levels, v, rng)
+    return _anneal(params.weights, params.visible_bias, params.hidden_bias, schedule,
+                   n_chains, _as_rng(rng))
 
 
-def mix_sample(
-    params: RbmParams,
-    data_batch: np.ndarray,
-    schedule: AnnealSchedule,
-    rng,
-    n_chains: int | None = None,
-) -> ChainSet:
-    """Annealed sampling with chains initialized at empirical data rows.
+def mix_sample(params: RbmParams, data_batch: np.ndarray, schedule: AnnealSchedule,
+               rng) -> ChainSet:
+    """Annealed sampling with one chain started at each empirical data row.
 
-    Skips the Gaussian factorization entirely; rows are drawn uniformly
-    with replacement when n_chains differs from the batch size; a 1-D
-    batch is one row.  Raises ValueError for Bernoulli hidden units, which
-    have no leakiness.
+    Skips the Gaussian factorization entirely; a 1-D batch is one row.
+    Raises ValueError for Bernoulli hidden units, which have no leakiness.
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
-    rng = _as_rng(rng)
-    data_batch = _check_data(params, data_batch)
-    if n_chains is None or n_chains == data_batch.shape[0]:
-        v = data_batch.copy()
-    else:
-        idx = rng.integers(data_batch.shape[0], size=n_chains)
-        v = data_batch[idx]
+    return _anneal(params.weights, params.visible_bias, params.hidden_bias, schedule,
+                   _check_data(params, data_batch).copy(), _as_rng(rng))
+
+
+def _anneal(W, a, b, schedule: AnnealSchedule, v, rng) -> ChainSet:
+    """Chains annealed along the schedule: one ``_run_chains`` level (c, 1) per leakiness.
+
+    v holds the chains' start rows, or is a scalar n, their number, to start
+    them at n exact draws from the c = 1 Gaussian of (W, a, b), as
+    ``sample_gaussian_base`` draws them.
+    """
+    if np.ndim(v) == 0:
+        v = _draw_base(*_gaussian_base(W, a, b)[1:3], v, rng)
     levels = [(c, 1.0) for c in schedule.leakiness_sequence().tolist()]
-    return _run_chains(params.weights, params.visible_bias, params.hidden_bias, levels, v, rng)
+    return _run_chains(W, a, b, levels, v, rng)
 
 
 def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> ChainSet:

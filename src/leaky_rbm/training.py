@@ -4,8 +4,11 @@ Gradient ascent on the log-likelihood: the positive phase uses the
 analytic conditional mean of the hidden units given data (no sampling),
 the negative phase approximates the model expectation with one of three
 chain initializations (CD from data, leakiness annealing from the exact
-Gaussian, or the mix variant annealing from data).  W is projected back
-onto the feasible set after every update unless disabled.
+Gaussian, or the mix variant annealing from data).  The annealed two run
+``sampler._anneal``, the code of ``anneal_leakiness_sample`` and
+``mix_sample``, over ``AnnealSchedule(c, cd_steps)``, and need leaky
+units.  W is projected back onto the feasible set after every update
+unless disabled.
 
 ``train`` validates its data once and then runs each minibatch on raw
 arrays, with one response pass: the batch's responses eta = v W + b feed
@@ -24,14 +27,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrainingDivergedError
-from .model import RbmParams, _check_data, _unit_leakiness, branch_slopes, response, sigmoid
+from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
+                    branch_slopes, response, sigmoid)
 from .projection import _clip
-from .sampler import AnnealSchedule, _as_rng, _draw_base, _gaussian_base, _run_chains
+from .sampler import AnnealSchedule, _anneal, _as_rng, _run_chains
 
 
 class NegSampler(enum.Enum):
@@ -48,7 +52,6 @@ class TrainConfig:
     batch_size: int = 100
     epochs: int = 10
     neg_sampler: NegSampler = NegSampler.CD
-    anneal: AnnealSchedule | None = None
     weight_decay: float = 0.0
     projection_enabled: bool = True
     seed: int = 0
@@ -77,13 +80,7 @@ class TrainConfig:
 
     def config_hash(self) -> int:
         """Stable 64-bit hash of the configuration, stored in model files."""
-        payload = {
-            k: (v.value if isinstance(v, enum.Enum) else v)
-            for k, v in self.__dict__.items()
-            if k != "anneal"
-        }
-        if self.anneal is not None:
-            payload["anneal"] = astuple(self.anneal)
+        payload = {k: v.value if isinstance(v, enum.Enum) else v for k, v in self.__dict__.items()}
         blob = json.dumps(payload, sort_keys=True).encode()
         return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
@@ -147,7 +144,11 @@ def positive_phase(params: RbmParams, batch) -> GradientEstimate:
 def negative_phase(
     params: RbmParams, batch, config: TrainConfig, rng
 ) -> GradientEstimate:
-    """Model-side expectations from the configured chain scheme."""
+    """Model-side expectations from the configured chain scheme.
+
+    Raises ValueError for an annealed scheme on Bernoulli hidden units.
+    """
+    _check_sampler(params, config)
     rng = _as_rng(rng)
     batch = _check_data(params, batch)
     W, a, b = params.weights, params.visible_bias, params.hidden_bias
@@ -156,25 +157,24 @@ def negative_phase(
     return _estimate(v, expected_hidden(params, v))
 
 
+def _check_sampler(params: RbmParams, config: TrainConfig) -> None:
+    """Raise ValueError unless the hidden units suit the negative sampler."""
+    if config.neg_sampler is not NegSampler.CD:
+        _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
+
+
 def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     """Final states of the negative-phase chains for a batch of data.
 
-    c is the leakiness, None for Bernoulli units.  Every scheme runs on
-    ``sampler._run_chains``: CD holds c for cd_steps sweeps from the batch,
-    its first sweep taking the batch's responses ``eta`` = batch W + b;
-    the annealed schemes, which do not read eta, follow their schedule.
+    c is the leakiness, None for Bernoulli units (CD only).  CD holds c for
+    cd_steps sweeps from the batch, the first from its responses ``eta`` =
+    batch W + b; leaky-anneal (from len(batch) c = 1 draws) and mix (from
+    the batch) run ``sampler._anneal`` over ``AnnealSchedule(c, cd_steps)``.
     """
     if config.neg_sampler is NegSampler.CD:
         return _run_chains(W, a, b, [(c, 1.0)] * config.cd_steps, batch, rng, eta).v
-    if c is None:
-        raise ValueError("leakiness annealing requires leaky hidden units")
-    schedule = config.anneal or AnnealSchedule(c_target=c, total_steps=config.cd_steps)
-    v = batch
-    if config.neg_sampler is NegSampler.LEAKY_ANNEAL:
-        _, mean, chol_prec, _ = _gaussian_base(W, a, b)
-        v = _draw_base(mean, chol_prec, len(batch), rng)
-    levels = [(c_t, 1.0) for c_t in schedule.leakiness_sequence().tolist()]
-    return _run_chains(W, a, b, levels, v, rng).v
+    start = len(batch) if config.neg_sampler is NegSampler.LEAKY_ANNEAL else batch
+    return _anneal(W, a, b, AnnealSchedule(c, config.cd_steps), start, rng).v
 
 
 def reconstruction_error(params: RbmParams, batch) -> float:
@@ -210,11 +210,13 @@ def train(
     ``loglik_fn(params)``, when given, is evaluated once per epoch and
     stored in the log (only sensible for small models with an exact
     oracle).  Raises DimensionError for data of the wrong width,
-    ValueError for data with no rows, and TrainingDivergedError if
+    ValueError for data with no rows or an annealed sampler on Bernoulli
+    units (before the first epoch), and TrainingDivergedError if
     parameters go non-finite or an epoch's reconstruction error
     overflows, the expected failures of unprojected training.
     """
     data = _check_data(params0, data)
+    _check_sampler(params0, config)
     rng = _as_rng(config.seed)
     params = params0
     W = np.array(params0.weights)  # the weights, updated in place

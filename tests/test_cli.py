@@ -211,6 +211,24 @@ class TestTrainCommand:
         assert prov.seed == 7
         assert prov.epoch == 2
 
+    @pytest.mark.parametrize("sampler", ["leaky-anneal", "mix"])
+    def test_annealed_sampler_on_bernoulli_units_writes_no_model(
+        self, tmp_path, rng, capsys, sampler
+    ):
+        # rejected before the first epoch, so even zero epochs write nothing
+        data = _write_data(tmp_path / "d.csv", rng)
+        rc = main(
+            [
+                "--out", str(tmp_path), "train", "--data", str(data), "--hidden", "2",
+                "--epochs", "0", "--neg-sampler", sampler, "--kind", "bernoulli",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "leakiness annealing requires leaky hidden units" in err
+        assert len(err.splitlines()) == 1, err
+        assert not (tmp_path / "model.rbm").exists()
+
     def test_config_file_supplies_options(self, tmp_path, rng):
         data = _write_data(tmp_path / "d.csv", rng)
         cfg = tmp_path / "cfg"

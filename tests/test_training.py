@@ -16,9 +16,10 @@ from leaky_rbm import (
 from leaky_rbm.model import log_unnorm_marginal, visible_conditional
 from leaky_rbm.partition import quadrature_log_z
 from leaky_rbm.projection import is_globally_safe, project_spectral
-from leaky_rbm.sampler import gibbs_step, make_rng
+from leaky_rbm.sampler import anneal_leakiness_sample, gibbs_step, make_rng, mix_sample
 from leaky_rbm.training import (
     EpochRecord,
+    _chain_ends,
     expected_hidden,
     negative_phase,
     positive_phase,
@@ -67,8 +68,6 @@ class TestTrainConfig:
         c = TrainConfig(seed=2)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
-        with_sched = TrainConfig(anneal=AnnealSchedule(c_target=0.1, total_steps=5))
-        assert with_sched.config_hash() != a.config_hash()
 
 
 class TestPositivePhase:
@@ -114,19 +113,35 @@ class TestPositivePhase:
 
 class TestNegativePhase:
     def test_mix_degenerate_equals_cd(self, rng):
-        # a constant annealing schedule makes the mix sampler an ordinary
-        # CD chain, so the two gradient estimates must be bit-identical
-        p = random_safe_params(rng, 2, 2, leakiness=0.3)
+        # at c = 1 the schedule AnnealSchedule(1.0, 4) holds c at 1, which
+        # makes the mix sampler an ordinary CD chain, so the two gradient
+        # estimates must be bit-identical
+        p = random_safe_params(rng, 2, 2, leakiness=1.0)
         batch = rng.standard_normal((8, 2))
-        sched = AnnealSchedule(c_target=0.3, total_steps=4, c_start=0.3)
         cd_cfg = TrainConfig(cd_steps=4, neg_sampler=NegSampler.CD, seed=0)
-        mix_cfg = TrainConfig(
-            cd_steps=4, neg_sampler=NegSampler.MIX, anneal=sched, seed=0
-        )
+        mix_cfg = TrainConfig(cd_steps=4, neg_sampler=NegSampler.MIX, seed=0)
         g_cd = negative_phase(p, batch, cd_cfg, make_rng(6))
         g_mix = negative_phase(p, batch, mix_cfg, make_rng(6))
         np.testing.assert_array_equal(g_cd.dW, g_mix.dW)
         np.testing.assert_array_equal(g_cd.db, g_mix.db)
+
+    @pytest.mark.parametrize("cd_steps", [1, 5])
+    def test_annealed_chain_ends_are_the_samplers_chains(self, rng, cd_steps):
+        # both annealed schemes run the public samplers' chains, bit for bit,
+        # on the schedule AnnealSchedule(c, cd_steps) and the same generator
+        p = random_safe_params(rng, 5, 3, leakiness=0.1)
+        p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
+        W, a, b = p.weights, p.visible_bias, p.hidden_bias
+        assert a.all() and b.all()
+        batch = rng.standard_normal((7, 5))
+        sched = AnnealSchedule(c_target=0.1, total_steps=cd_steps)
+        for sampler, chains in [
+            (NegSampler.LEAKY_ANNEAL, anneal_leakiness_sample(p, sched, 7, make_rng(9))),
+            (NegSampler.MIX, mix_sample(p, batch, sched, make_rng(9))),
+        ]:
+            cfg = TrainConfig(cd_steps=cd_steps, neg_sampler=sampler)
+            v = _chain_ends(W, a, b, 0.1, batch, None, cfg, make_rng(9))
+            np.testing.assert_array_equal(v, chains.v)
 
     def test_c1_long_chain_moments(self, rng):
         # at leakiness 1 the model is an exact Gaussian, so the negative
@@ -297,6 +312,15 @@ class TestTrain:
         with pytest.raises(DimensionError):
             train(p, rng.standard_normal((10, 3)), TrainConfig(epochs=1, neg_sampler=sampler))
 
+    @pytest.mark.parametrize("sampler", [NegSampler.LEAKY_ANNEAL, NegSampler.MIX])
+    def test_annealed_sampler_rejects_bernoulli_units_before_any_epoch(self, sampler):
+        p = RbmParams.create(np.full((2, 2), 0.3), hidden_kind=HiddenKind.BERNOULLI)
+        data = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="leakiness annealing requires leaky hidden units"):
+            train(p, data, TrainConfig(epochs=0, neg_sampler=sampler))
+        with pytest.raises(ValueError, match="leakiness annealing requires leaky hidden units"):
+            negative_phase(p, data, TrainConfig(neg_sampler=sampler), make_rng(0))
+
     def test_leaky_anneal_builds_no_params_per_minibatch(self, rng, monkeypatch):
         # the c = 1 base is drawn from raw arrays: leaky-anneal builds the
         # same models as CD, one per epoch, however many minibatches run
@@ -432,7 +456,7 @@ class TestTrainReference:
                 batch_size=40, seed=4)),
             (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
                 cd_steps=3, learning_rate=0.02, momentum=0.5, neg_sampler=NegSampler.LEAKY_ANNEAL,
-                anneal=AnnealSchedule(c_target=0.1, total_steps=4), epochs=3, batch_size=40, seed=5)),
+                epochs=3, batch_size=40, seed=5)),
             (6, 4, HiddenKind.LEAKY_RELU, TrainConfig(
                 learning_rate=0.01, momentum=0.5, projection_enabled=False, epochs=3,
                 batch_size=40, seed=6)),
