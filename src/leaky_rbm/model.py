@@ -26,8 +26,8 @@ def _unit_leakiness(params: RbmParams) -> float | None:
     return None if params.hidden_kind is HiddenKind.BERNOULLI else params.leakiness
 
 
-def _readonly(x, dtype=np.float64) -> np.ndarray:
-    arr = np.array(x, dtype=dtype)
+def _readonly(x) -> np.ndarray:
+    arr = np.array(x, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -240,17 +240,15 @@ def region_precision_mean(params: RbmParams, pattern: ActivationPattern) -> Regi
     return RegionGaussian(omega, mean, min_eig, is_pd)
 
 
-def log_unnorm_marginal(params: RbmParams, v, leakiness: float | None = None):
+def log_unnorm_marginal(params: RbmParams, v):
     """Log of the unnormalized marginal density of v for leaky hidden units.
 
     Equals -||v - a||^2/2 + sum_j f(eta_j) with f(eta) = eta^2/2 on the
-    positive branch and c*eta^2/2 otherwise; this is the exact result of
-    integrating the hidden units out of the joint.  An explicit
-    ``leakiness`` overrides the model's c; ValueError unless it is in (0, 1].
+    positive branch and c*eta^2/2 otherwise, c the model's leakiness; this
+    is the exact result of integrating the hidden units out of the joint.
+    Score another leakiness c' with ``params.with_(leakiness=c')``.
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "log_unnorm_marginal")
-    if leakiness is not None:  # checked as the model's own leakiness is
-        params = params.with_(leakiness=leakiness)
     return _log_marginal(params, v, params.weights, params.hidden_bias, params.leakiness)
 
 

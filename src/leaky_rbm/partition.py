@@ -75,13 +75,14 @@ class AnnealingPath:
         grid = np.asarray(self.grid, dtype=np.float64)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("path grid needs at least base and target levels")
+        # before the monotonicity check, so that a NaN level is named as such
+        low = grid > 0.0 if self.kind is PathKind.LEAKY else grid >= 0.0
+        if not np.all(low & (grid <= 1.0)):
+            raise ValueError("path levels must lie in [0, 1], leakiness levels in (0, 1]")
         diffs = np.diff(grid)
         # a constant grid is the degenerate base-equals-target path
         if not (np.all(diffs < 0) or np.all(diffs > 0) or np.all(diffs == 0)):
             raise ValueError("path grid must be strictly monotone")
-        low = grid > 0.0 if self.kind is PathKind.LEAKY else grid >= 0.0
-        if not np.all(low & (grid <= 1.0)):
-            raise ValueError("path levels must lie in [0, 1], leakiness levels in (0, 1]")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -91,8 +92,6 @@ class AnnealingPath:
 
     @classmethod
     def leaky(cls, c_target: float, n_levels: int) -> "AnnealingPath":
-        if not (0.0 < c_target <= 1.0):
-            raise ValueError("c_target must be in (0, 1]")
         return cls(PathKind.LEAKY, np.linspace(1.0, c_target, n_levels + 1))
 
     @classmethod

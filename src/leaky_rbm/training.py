@@ -55,7 +55,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     projection_enabled: bool = True
     seed: int = 0
-    stop_recon_error: float | None = None
 
     def __post_init__(self):
         # negated comparisons so that NaN fails them too
@@ -73,14 +72,13 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.stop_recon_error is not None and not self.stop_recon_error > 0:
-            raise ValueError(f"stop_recon_error must be > 0, got {self.stop_recon_error}")
         if not isinstance(self.neg_sampler, NegSampler):
             raise ValueError(f"unknown negative sampler {self.neg_sampler!r}")
 
     def config_hash(self) -> int:
         """Stable 64-bit hash of the configuration, stored in model files."""
         payload = {k: v.value if isinstance(v, enum.Enum) else v for k, v in self.__dict__.items()}
+        payload["stop_recon_error"] = None  # a removed field, kept so stored hashes stay valid
         blob = json.dumps(payload, sort_keys=True).encode()
         return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
@@ -152,8 +150,7 @@ def negative_phase(
     rng = _as_rng(rng)
     batch = _check_data(params, batch)
     W, a, b = params.weights, params.visible_bias, params.hidden_bias
-    eta = batch @ W + b if config.neg_sampler is NegSampler.CD else None
-    v = _chain_ends(W, a, b, _unit_leakiness(params), batch, eta, config, rng)
+    v = _chain_ends(W, a, b, _unit_leakiness(params), batch, None, config, rng)
     return _estimate(v, expected_hidden(params, v))
 
 
@@ -207,8 +204,9 @@ def train(
 ) -> tuple[RbmParams, TrainingLog]:
     """Mini-batch CD training with momentum and optional projection.
 
-    ``loglik_fn(params)``, when given, is evaluated once per epoch and
-    stored in the log (only sensible for small models with an exact
+    Runs all ``config.epochs`` epochs and logs each one's reconstruction
+    error.  ``loglik_fn(params)``, when given, is evaluated once per epoch
+    and stored in the log (only sensible for small models with an exact
     oracle).  Raises DimensionError for data of the wrong width,
     ValueError for data with no rows or an annealed sampler on Bernoulli
     units (before the first epoch), and TrainingDivergedError if
@@ -270,6 +268,4 @@ def train(
         if loglik_fn is not None:
             record.log_likelihood = float(loglik_fn(params))
         log.epochs.append(record)
-        if config.stop_recon_error is not None and recon < config.stop_recon_error:
-            break
     return params, log

@@ -242,21 +242,25 @@ class TestAnnealingPath:
         beta = 0.4
         c_eff = beta + (1 - beta) * c
         one_sided = intermediate_log_density(p, PathKind.ONE_SIDED, beta, v)
-        leaky = log_unnorm_marginal(p, v, leakiness=c_eff)
+        leaky = log_unnorm_marginal(p.with_(leakiness=c_eff), v)
         np.testing.assert_allclose(one_sided, leaky, atol=1e-12)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             AnnealingPath.leaky(0.5, 0)
-        # levels that name no intermediate model
+        # levels that name no intermediate model; a NaN level is named as one
         for kind, grid in [
             (PathKind.LEAKY, [1.0, 0.5, 0.0]),
             (PathKind.LEAKY, [1.5, 1.2, 0.5]),
             (PathKind.ENERGY, [1.0, 0.5, -0.5]),
             (PathKind.ONE_SIDED, [1.5, 0.5, 0.0]),
+            *((kind, [1.0, np.nan]) for kind in PathKind),
         ]:
             with pytest.raises(ValueError, match="must lie in"):
                 AnnealingPath(kind, grid)
+        for c in [0.0, 1.5, -1.0, np.nan]:
+            with pytest.raises(ValueError, match="must lie in"):
+                AnnealingPath.leaky(c, 4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leaky_base_is_the_samplers_once_shrunk_model(self, seed):
@@ -276,7 +280,7 @@ class TestAnnealingPath:
             p, PathKind.LEAKY, 64, make_rng(seed)
         )
         np.testing.assert_array_equal(v, sample_gaussian_base(p, 64, make_rng(seed)))
-        np.testing.assert_array_equal(density, log_unnorm_marginal(once, v, leakiness=1.0))
+        np.testing.assert_array_equal(density, log_unnorm_marginal(once.with_(leakiness=1.0), v))
         assert log_z_base == gaussian_log_z(once)
 
 
