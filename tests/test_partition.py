@@ -258,9 +258,12 @@ class TestAnnealingPath:
         ]:
             with pytest.raises(ValueError, match="must lie in"):
                 AnnealingPath(kind, grid)
-        for c in [0.0, 1.5, -1.0, np.nan]:
-            with pytest.raises(ValueError, match="must lie in"):
-                AnnealingPath.leaky(c, 4)
+
+    @pytest.mark.parametrize("c_target", [0.0, 1.5, -1.0, np.nan])
+    def test_leaky_target_outside_unit_interval(self, c_target):
+        # leaky() checks nothing itself: the grid check names the bad level
+        with pytest.raises(ValueError, match="must lie in"):
+            AnnealingPath.leaky(c_target, 4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_leaky_base_is_the_samplers_once_shrunk_model(self, seed):
