@@ -4,9 +4,9 @@ Subcommands: train, sample, estimate-z, eval-ll, experiment.  A flat
 key=value config file can pre-populate any option, and argparse checks
 its values exactly like flags; explicit command-line flags win over the
 file.  Exit codes, all decided in ``main``: 0 success; 1 a usage or file
-error, any input the package rejects with a ValueError among them, with
-one ``error:`` line; 2 a numerical failure (divergent or overflowing
-training, a non-PD constraint, a failed LAPACK routine).
+error, any input the package rejects with a ValueError and any count too
+large to allocate among them, with one ``error:`` line; 2 a numerical
+failure (divergent or overflowing training, a non-PD constraint, a failed LAPACK routine).
 """
 from __future__ import annotations
 
@@ -27,11 +27,10 @@ from .errors import (
     TrainingDivergedError,
 )
 from .experiments import EXPERIMENTS
-from .model import HiddenKind, RbmParams
+from .model import HiddenKind
 from .partition import AnnealingPath, PathKind, ais_estimate, eval_mean_log_likelihood
-from .projection import project_spectral
-from .sampler import AnnealSchedule, anneal_leakiness_sample, make_rng
-from .training import NegSampler, TrainConfig, train
+from .sampler import anneal_leakiness_sample, make_rng
+from .training import NegSampler, TrainConfig, initial_params, train
 
 _PATHS = {
     PathKind.LEAKY: lambda c, n: AnnealingPath.leaky(c, n),
@@ -194,9 +193,6 @@ def build_parser(config: dict[str, str] | None = None) -> _Parser:
 
 def _cmd_train(args) -> int:
     dataset = ingest(args.data, args.data_format)
-    W0 = make_rng(args.seed, 1).uniform(
-        0.0, 0.01, size=(dataset.matrix.shape[1], args.hidden)
-    )
     tc = TrainConfig(
         cd_steps=args.cd_steps,
         learning_rate=args.learning_rate,
@@ -208,14 +204,8 @@ def _cmd_train(args) -> int:
         projection_enabled=not args.no_projection,
         seed=args.seed,
     )
-    # start inside the feasible set: the annealed samplers' base
-    # Gaussian needs I - W W^T >= 0 from the first minibatch
-    params0 = RbmParams.create(
-        project_spectral(W0)[0],
-        leakiness=args.leakiness if args.kind is HiddenKind.LEAKY_RELU else 1.0,
-        hidden_kind=args.kind,
-    )
-    del W0  # params0 holds the projected copy; training never reads W0
+    params0 = initial_params(dataset.matrix.shape[1], args.hidden, make_rng(args.seed, 1),
+                             args.leakiness, args.kind)
     model, log = train(params0, dataset.matrix, tc)
     model_out = args.model_out or str(args.out / "model.rbm")
     Path(model_out).parent.mkdir(parents=True, exist_ok=True)
@@ -232,8 +222,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     params, _prov = load_model(args.model)
-    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=args.steps)
-    chains = anneal_leakiness_sample(params, schedule, args.n, make_rng(args.seed, 2))
+    chains = anneal_leakiness_sample(params, args.steps, args.n, make_rng(args.seed, 2))
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "samples.csv"
     np.savetxt(out, chains.v, delimiter=",", fmt="%.12g")
@@ -317,8 +306,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a count too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except LeakyRbmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Every experiment writes headered CSV under an output directory using a
 fixed float format, so re-running with the same seed produces
 byte-identical files.  Wall-clock timings go to stderr, never into the
-CSV (they would break reproducibility).
+CSV (they would break reproducibility).  Every trained model starts at
+``training.initial_params``, each experiment on its own generator stream.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ from .partition import (
     quadrature_log_z,
 )
 from .projection import is_globally_safe
-from .sampler import AnnealSchedule, anneal_leakiness_sample, gibbs_step, make_rng
-from .training import NegSampler, TrainConfig, train
+from .sampler import anneal_leakiness_sample, gibbs_step, make_rng
+from .training import NegSampler, TrainConfig, initial_params, train
+
+MIXING_CD_STEPS = 2  # Gibbs sweeps per negative phase in ``train_mixing_method``
 
 
 def _fmt(x) -> str:
@@ -64,8 +67,7 @@ def random_orthogonal_params(
 
 def synthetic_leaky_data(params: RbmParams, n: int, rng) -> np.ndarray:
     """Approximate model samples via a 400-sweep leakiness-annealed run."""
-    schedule = AnnealSchedule(c_target=params.leakiness, total_steps=400)
-    return anneal_leakiness_sample(params, schedule, n, rng).v
+    return anneal_leakiness_sample(params, 400, n, rng).v
 
 
 def experiment_partition_bias(
@@ -131,21 +133,19 @@ def train_mixing_method(
     method: NegSampler,
     data: np.ndarray,
     epochs: int = 40,
-    cd_steps: int = 2,
     loglik_fn=None,
 ):
     """One arm of the sampler comparison; shared by the experiment and tests.
 
-    The step budget is deliberately tiny.  With a large budget every
-    sampler converges to the same optimum on a 2-unit task and the
-    comparison measures nothing but noise; at a couple of sweeps the
+    The step budget ``MIXING_CD_STEPS`` is deliberately tiny.  With a large
+    budget every sampler converges to the same optimum on a 2-unit task and
+    the comparison measures nothing but noise; at a couple of sweeps the
     contrastive chains barely leave the data rows, so the quality of the
     negative-phase sampler is what separates the learning curves.
     """
-    W0 = make_rng(seed, 5).uniform(0.0, 0.01, size=(2, 2))
-    params0 = RbmParams.create(W0, leakiness=0.01)
+    params0 = initial_params(2, 2, make_rng(seed, 5), leakiness=0.01)
     config = TrainConfig(
-        cd_steps=cd_steps,
+        cd_steps=MIXING_CD_STEPS,
         learning_rate=0.01,
         momentum=0.0,
         batch_size=100,
@@ -194,8 +194,7 @@ def experiment_divergence(out_dir, seed: int) -> Path:
     )
     base_data = synthetic_leaky_data(truth, 1000, make_rng(seed, 4))
     data = 3.0 * base_data
-    W0 = make_rng(seed, 5).uniform(0.0, 0.01, size=(16, 8))
-    params0 = RbmParams.create(W0, leakiness=0.05)
+    params0 = initial_params(16, 8, make_rng(seed, 5), leakiness=0.05)
 
     projected, _ = train(
         params0,
@@ -271,10 +270,7 @@ def experiment_likelihood_compare(out_dir, seed: int) -> Path:
     train_data, test_data = data[:split], data[split:]
     rows = []
     for kind in (HiddenKind.LEAKY_RELU, HiddenKind.BERNOULLI):
-        W0 = make_rng(seed, 23).uniform(0.0, 0.01, size=(16, 16))
-        params0 = RbmParams.create(
-            W0, leakiness=0.1 if kind is HiddenKind.LEAKY_RELU else 1.0, hidden_kind=kind
-        )
+        params0 = initial_params(16, 16, make_rng(seed, 23), leakiness=0.1, hidden_kind=kind)
         config = TrainConfig(
             cd_steps=20,
             learning_rate=0.005,

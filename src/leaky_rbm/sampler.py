@@ -6,9 +6,10 @@ runs on ``_run_chains``: ``gibbs_step``'s single one, CD's in ``training``
 and AIS's in ``partition`` too.  The annealed chains, those of
 ``anneal_leakiness_sample``, ``mix_sample`` and training's annealed
 negative phases, all run on ``_anneal``, the one place that turns an
-``AnnealSchedule`` into levels.  All randomness comes from a caller-supplied
-numpy Generator (or a seed), which makes every sampler deterministic given
-its inputs.
+``AnnealSchedule`` into levels; callers give only a step count, and every
+chain ends at its model's own leakiness.  All randomness comes from a
+caller-supplied numpy Generator (or a seed), which makes every sampler
+deterministic given its inputs.
 """
 from __future__ import annotations
 
@@ -170,42 +171,39 @@ def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
     return v, h
 
 
-def anneal_leakiness_sample(
-    params: RbmParams, schedule: AnnealSchedule, n_chains: int, rng
-) -> ChainSet:
-    """Sample by annealing leakiness from 1 down to the target.
+def anneal_leakiness_sample(params: RbmParams, n_steps: int, n_chains: int, rng) -> ChainSet:
+    """Sample by annealing leakiness from 1 down to the model's own in n_steps sweeps.
 
     Chains start at exact draws from the c = 1 Gaussian; each step lowers
     the leakiness per the schedule and runs one Gibbs sweep.  Raises
     ValueError for Bernoulli hidden units, which have no leakiness.
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
-    return _anneal(params.weights, params.visible_bias, params.hidden_bias, schedule,
-                   n_chains, _as_rng(rng))
+    return _anneal(params.weights, params.visible_bias, params.hidden_bias, params.leakiness,
+                   n_steps, n_chains, _as_rng(rng))
 
 
-def mix_sample(params: RbmParams, data_batch: np.ndarray, schedule: AnnealSchedule,
-               rng) -> ChainSet:
+def mix_sample(params: RbmParams, data_batch: np.ndarray, n_steps: int, rng) -> ChainSet:
     """Annealed sampling with one chain started at each empirical data row.
 
     Skips the Gaussian factorization entirely; a 1-D batch is one row.
     Raises ValueError for Bernoulli hidden units, which have no leakiness.
     """
     _require_kind(params, HiddenKind.LEAKY_RELU, "leakiness annealing")
-    return _anneal(params.weights, params.visible_bias, params.hidden_bias, schedule,
-                   _check_data(params, data_batch).copy(), _as_rng(rng))
+    return _anneal(params.weights, params.visible_bias, params.hidden_bias, params.leakiness,
+                   n_steps, _check_data(params, data_batch).copy(), _as_rng(rng))
 
 
-def _anneal(W, a, b, schedule: AnnealSchedule, v, rng) -> ChainSet:
-    """Chains annealed along the schedule: one ``_run_chains`` level (c, 1) per leakiness.
+def _anneal(W, a, b, c, n_steps: int, v, rng) -> ChainSet:
+    """Chains annealed to c: a ``_run_chains`` level per leakiness of AnnealSchedule(c, n_steps).
 
     v holds the chains' start rows, or is a scalar n, their number, to start
     them at n exact draws from the c = 1 Gaussian of (W, a, b), as
     ``sample_gaussian_base`` draws them.
     """
+    levels = [(c_t, 1.0) for c_t in AnnealSchedule(c, n_steps).leakiness_sequence().tolist()]
     if np.ndim(v) == 0:
         v = _draw_base(*_gaussian_base(W, a, b)[1:3], v, rng)
-    levels = [(c, 1.0) for c in schedule.leakiness_sequence().tolist()]
     return _run_chains(W, a, b, levels, v, rng)
 
 

@@ -6,9 +6,9 @@ the negative phase approximates the model expectation with one of three
 chain initializations (CD from data, leakiness annealing from the exact
 Gaussian, or the mix variant annealing from data).  The annealed two run
 ``sampler._anneal``, the code of ``anneal_leakiness_sample`` and
-``mix_sample``, over ``AnnealSchedule(c, cd_steps)``, and need leaky
-units.  W is projected back onto the feasible set after every update
-unless disabled.
+``mix_sample``, for cd_steps steps, and need leaky units.  Every training
+run starts at ``initial_params``.  W is projected back onto the feasible
+set after every update unless disabled.
 
 ``train`` validates its data once and then runs each minibatch on raw
 arrays, with one response pass: the batch's responses eta = v W + b feed
@@ -35,7 +35,7 @@ from .errors import TrainingDivergedError
 from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
                     branch_slopes, response, sigmoid)
 from .projection import _clip
-from .sampler import AnnealSchedule, _anneal, _as_rng, _run_chains
+from .sampler import _anneal, _as_rng, _run_chains
 
 
 class NegSampler(enum.Enum):
@@ -166,12 +166,24 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     c is the leakiness, None for Bernoulli units (CD only).  CD holds c for
     cd_steps sweeps from the batch, the first from its responses ``eta`` =
     batch W + b; leaky-anneal (from len(batch) c = 1 draws) and mix (from
-    the batch) run ``sampler._anneal`` over ``AnnealSchedule(c, cd_steps)``.
+    the batch) run ``sampler._anneal`` for cd_steps steps.
     """
     if config.neg_sampler is NegSampler.CD:
         return _run_chains(W, a, b, [(c, 1.0)] * config.cd_steps, batch, rng, eta).v
     start = len(batch) if config.neg_sampler is NegSampler.LEAKY_ANNEAL else batch
-    return _anneal(W, a, b, AnnealSchedule(c, config.cd_steps), start, rng).v
+    return _anneal(W, a, b, c, config.cd_steps, start, rng).v
+
+
+def initial_params(n_visible: int, n_hidden: int, rng, leakiness: float = 1.0,
+                   hidden_kind: HiddenKind = HiddenKind.LEAKY_RELU) -> RbmParams:
+    """A training start: W ~ U(0, 0.01), singular values clipped at 1, and zero biases.
+
+    The clip leaves a feasible draw as it is and gives the annealed samplers'
+    base I - W W^T >= 0.  Bernoulli units store leakiness 1, whatever ``leakiness`` says.
+    """
+    W0 = _clip(_as_rng(rng).uniform(0.0, 0.01, size=(n_visible, n_hidden)))[0]
+    c = leakiness if hidden_kind is HiddenKind.LEAKY_RELU else 1.0
+    return RbmParams.create(W0, leakiness=c, hidden_kind=hidden_kind)
 
 
 def reconstruction_error(params: RbmParams, batch) -> float:

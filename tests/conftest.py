@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leaky_rbm import RbmParams
+from leaky_rbm.experiments import random_orthogonal_params
 from leaky_rbm.sampler import make_rng
 
 
@@ -30,10 +31,7 @@ def random_orthogonal(
     lo: float = 0.3,
     hi: float = 0.95,
 ) -> RbmParams:
-    G = rng.standard_normal((n_visible, n_hidden))
-    Q, _ = np.linalg.qr(G)
-    norms = rng.uniform(lo, hi, size=n_hidden)
-    return RbmParams.create(Q[:, :n_hidden] * norms, leakiness=leakiness)
+    return random_orthogonal_params(n_visible, n_hidden, leakiness, rng, norm_range=(lo, hi))
 
 
 @pytest.fixture

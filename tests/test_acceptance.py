@@ -4,7 +4,6 @@ Each test prints a single CRITERION line (bypassing capture) so the
 verdicts are readable straight off the pytest output, then asserts.
 """
 import csv
-import inspect
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from leaky_rbm import (
 )
 from leaky_rbm.cli import main as cli_main
 from leaky_rbm.experiments import (
+    MIXING_CD_STEPS,
     experiment_divergence,
     mixing_task_data,
     train_mixing_method,
@@ -271,15 +271,14 @@ def test_criterion_08_one_sided_equals_leaky(report):
 def test_criterion_09_sampler_training_direction(report):
     """Leaky annealing and the mixed sampler train at least as well as CD.
 
-    Every arm runs at ``train_mixing_method``'s default budget, the one the
-    ``mixing`` experiment uses: with a large budget every sampler reaches
-    the same optimum and the comparison measures noise.  Arms are compared
-    only on informative tasks, where some arm's final log-likelihood beats
-    the untrained model's (``epochs=0``) by at least 0.1 nats.  On the
-    other tasks no arm learns anything, and ``>=`` would be decided by
-    rounding between arms a few 1e-5 nats apart.
+    Every arm runs at ``train_mixing_method``'s budget, ``MIXING_CD_STEPS``,
+    the one the ``mixing`` experiment uses: with a large budget every
+    sampler reaches the same optimum and the comparison measures noise.
+    Arms are compared only on informative tasks, where some arm's final
+    log-likelihood beats the untrained model's (``epochs=0``) by at least
+    0.1 nats.  On the other tasks no arm learns anything, and ``>=`` would
+    be decided by rounding between arms a few 1e-5 nats apart.
     """
-    budget = inspect.signature(train_mixing_method).parameters["cd_steps"].default
     methods = (NegSampler.CD, NegSampler.LEAKY_ANNEAL, NegSampler.MIX)
     informative = []
     leaky_wins = 0
@@ -304,7 +303,7 @@ def test_criterion_09_sampler_training_direction(report):
     report(
         9,
         ok,
-        f"{budget}-sweep budget, informative seeds {informative} ({n}, need 5): "
+        f"{MIXING_CD_STEPS}-sweep budget, informative seeds {informative} ({n}, need 5): "
         f"leaky>=cd in {leaky_wins}/{n} (need 80%), "
         f"mix>=cd in {mix_wins}/{n} (need 70%)",
     )

@@ -143,7 +143,11 @@ class TestExitCodes:
         (ValueError("boom"), 1, "error: boom\n"),
         (DimensionError("wide"), 1, "error: wide\n"),
         (np.linalg.LinAlgError("x"), 2, "numerical failure: x\n"),
-    ], ids=["ValueError", "DimensionError", "LinAlgError"])
+        (MemoryError(), 1, "error: out of memory\n"),
+        (MemoryError("Unable to allocate"), 1, "error: Unable to allocate\n"),
+        (OverflowError("too big"), 1, "error: too big\n"),
+    ], ids=["ValueError", "DimensionError", "LinAlgError", "MemoryError",
+            "MemoryError-message", "OverflowError"])
     def test_main_alone_maps_exceptions_to_exit_codes(
         self, tmp_path, rng, capsys, monkeypatch, exc, code, err
     ):
@@ -449,6 +453,22 @@ class TestMalformedOptions:
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-z", "--model", "{model}", "--particles", str(10**15)],
+        ["train", "--data", "{data}", "--hidden", str(10**15)],
+        ["train", "--data", "{data}", "--cd-steps", str(10**15)],
+        ["train", "--data", "{data}", "--cd-steps", str(10**30)],
+    ], ids=["particles", "hidden", "cd-steps", "cd-steps-past-index"])
+    def test_oversized_count_exits_1_with_one_line(self, files, capsys, argv):
+        # each count asks for more than 2^50 bytes, so the allocation fails
+        # at once; 10^30 steps do not even fit an index
+        out = Path(files["out"])
+        rc = main(["--out", files["out"], *[arg.format(**files) for arg in argv]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not (out / "model.rbm").exists() and not (out / "estimate_z.csv").exists()
 
     @pytest.mark.parametrize("seed, expected", [(2**63 - 1, 0), (2**63, 1)])
     def test_seed_fits_the_model_file(self, files, capsys, seed, expected):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from leaky_rbm import (
     ActivationPattern,
     AnnealingPath,
-    AnnealSchedule,
     DimensionError,
     HiddenKind,
     PathKind,
@@ -393,9 +392,6 @@ def test_property_pattern_matches_c1_allones(data):
     np.testing.assert_allclose(r_pattern.mean, r_ones.mean, rtol=1e-10)
 
 
-_SCHEDULE = AnnealSchedule(c_target=1.0, total_steps=2)
-
-
 @pytest.mark.parametrize(
     "kind, entry",
     [
@@ -408,9 +404,9 @@ _SCHEDULE = AnnealSchedule(c_target=1.0, total_steps=2)
         (HiddenKind.LEAKY_RELU, quadrature_log_z),
         (HiddenKind.BERNOULLI, exact_log_z_bernoulli),
         (HiddenKind.LEAKY_RELU,
-         lambda p: anneal_leakiness_sample(p, _SCHEDULE, 3, make_rng(0))),
+         lambda p: anneal_leakiness_sample(p, 2, 3, make_rng(0))),
         (HiddenKind.LEAKY_RELU,
-         lambda p: mix_sample(p, np.zeros((3, 2)), _SCHEDULE, make_rng(0))),
+         lambda p: mix_sample(p, np.zeros((3, 2)), 2, make_rng(0))),
         (HiddenKind.LEAKY_RELU,
          lambda p: ais_estimate(p, AnnealingPath.leaky(1.0, 3), 4, make_rng(0))),
     ],

@@ -342,8 +342,7 @@ class TestSweepKernel:
 class TestAnnealLeakinessSample:
     def test_degenerate_schedule_matches_base(self, rng):
         p = random_safe_params(rng, 2, 2, leakiness=1.0, max_norm=0.7)
-        sched = AnnealSchedule(c_target=1.0, total_steps=10)
-        chains = anneal_leakiness_sample(p, sched, 4000, make_rng(21))
+        chains = anneal_leakiness_sample(p, 10, 4000, make_rng(21))
         base = sample_gaussian_base(p, 4000, make_rng(22))
         # same distribution: compare means and covariances loosely
         np.testing.assert_allclose(
@@ -353,15 +352,13 @@ class TestAnnealLeakinessSample:
 
     def test_determinism(self, rng):
         p = random_safe_params(rng, 2, 2, leakiness=0.2)
-        sched = AnnealSchedule(c_target=0.2, total_steps=15)
-        a = anneal_leakiness_sample(p, sched, 8, make_rng(4)).v
-        b = anneal_leakiness_sample(p, sched, 8, make_rng(4)).v
+        a = anneal_leakiness_sample(p, 15, 8, make_rng(4)).v
+        b = anneal_leakiness_sample(p, 15, 8, make_rng(4)).v
         np.testing.assert_array_equal(a, b)
 
     def test_1d_histogram_matches_quadrature(self):
         p = RbmParams.create(np.array([[0.7]]), hidden_bias=[0.4], leakiness=0.05)
-        sched = AnnealSchedule(c_target=0.05, total_steps=150)
-        v = anneal_leakiness_sample(p, sched, 10_000, make_rng(31)).v[:, 0]
+        v = anneal_leakiness_sample(p, 150, 10_000, make_rng(31)).v[:, 0]
         log_z = quadrature_log_z(p, tolerance=1e-9)
         edges = np.linspace(-5.0, 5.0, 21)
         counts, _ = np.histogram(v, bins=edges)
@@ -388,10 +385,9 @@ class TestAnnealLeakinessSample:
 class TestMixSample:
     def test_one_dimensional_row_is_one_row(self, rng):
         p = random_safe_params(rng, 2, 2, leakiness=0.3)
-        sched = AnnealSchedule(c_target=0.3, total_steps=4)
         row = rng.standard_normal(2)
-        flat = mix_sample(p, row, sched, make_rng(1))
-        stacked = mix_sample(p, row[None, :], sched, make_rng(1))
+        flat = mix_sample(p, row, 4, make_rng(1))
+        stacked = mix_sample(p, row[None, :], 4, make_rng(1))
         assert flat.v.shape == (1, 2)
         np.testing.assert_array_equal(flat.v, stacked.v)
         np.testing.assert_array_equal(flat.h, stacked.h)
@@ -400,8 +396,7 @@ class TestMixSample:
         # at c = 1 the schedule holds c at 1, so mix is an ordinary CD chain
         p = random_safe_params(rng, 2, 2, leakiness=1.0)
         batch = rng.standard_normal((6, 2))
-        sched = AnnealSchedule(c_target=1.0, total_steps=5)
-        mixed = mix_sample(p, batch, sched, make_rng(8)).v
+        mixed = mix_sample(p, batch, 5, make_rng(8)).v
         g = make_rng(8)
         v = batch.copy()
         for _ in range(5):
@@ -413,8 +408,7 @@ class TestMixSample:
         # permutation test should not reject equality of distributions
         p = random_safe_params(rng, 2, 2, leakiness=1.0, max_norm=0.7)
         n = 2000
-        sched = AnnealSchedule(c_target=1.0, total_steps=5)
-        x = anneal_leakiness_sample(p, sched, n, make_rng(41)).v
+        x = anneal_leakiness_sample(p, 5, n, make_rng(41)).v
         y = sample_gaussian_base(p, n, make_rng(42))
         pooled = np.vstack([x, y])
         D = cdist(pooled, pooled)
@@ -440,7 +434,8 @@ class TestMixSample:
 
 
 class TestAnnealedSweeps:
-    """The annealed samplers run one gibbs_step per leakiness of the schedule."""
+    """The annealed samplers run one gibbs_step per leakiness of
+    ``AnnealSchedule(p.leakiness, n_steps)``."""
 
     @pytest.fixture
     def model(self, rng):
@@ -448,35 +443,32 @@ class TestAnnealedSweeps:
         return p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
 
     @staticmethod
-    def _reference(p, schedule, v, g):
+    def _reference(p, n_steps, v, g):
         h = np.zeros((v.shape[0], p.n_hidden))
-        for c_t in schedule.leakiness_sequence():
+        for c_t in AnnealSchedule(p.leakiness, n_steps).leakiness_sequence():
             v, h = gibbs_step(p.with_(leakiness=c_t), v, g)
         return v, h
 
     def test_anneal_leakiness_sample_equals_gibbs_step_loop(self, model):
-        sched = AnnealSchedule(c_target=0.1, total_steps=12)
-        chains = anneal_leakiness_sample(model, sched, 7, make_rng(3))
+        chains = anneal_leakiness_sample(model, 12, 7, make_rng(3))
         g = make_rng(3)
-        v, h = self._reference(model, sched, sample_gaussian_base(model, 7, g), g)
+        v, h = self._reference(model, 12, sample_gaussian_base(model, 7, g), g)
         np.testing.assert_array_equal(chains.v, v)
         np.testing.assert_array_equal(chains.h, h)
 
     def test_mix_sample_equals_gibbs_step_loop(self, model, rng):
         batch = rng.standard_normal((6, 5))
-        sched = AnnealSchedule(c_target=0.1, total_steps=12)
-        chains = mix_sample(model, batch, sched, make_rng(4))
-        v, h = self._reference(model, sched, batch, make_rng(4))
+        chains = mix_sample(model, batch, 12, make_rng(4))
+        v, h = self._reference(model, 12, batch, make_rng(4))
         np.testing.assert_array_equal(chains.v, v)
         np.testing.assert_array_equal(chains.h, h)
 
     def test_bernoulli_units_are_rejected(self):
         p = RbmParams.create(np.full((2, 2), 0.3), hidden_kind=HiddenKind.BERNOULLI)
-        sched = AnnealSchedule(c_target=1.0, total_steps=3)
         with pytest.raises(ValueError, match="leaky hidden units"):
-            anneal_leakiness_sample(p, sched, 4, make_rng(0))
+            anneal_leakiness_sample(p, 3, 4, make_rng(0))
         with pytest.raises(ValueError, match="leaky hidden units"):
-            mix_sample(p, np.zeros((4, 2)), sched, make_rng(0))
+            mix_sample(p, np.zeros((4, 2)), 3, make_rng(0))
 
 
 class TestRunChains:

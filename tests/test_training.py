@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from leaky_rbm import (
-    AnnealSchedule,
     DimensionError,
     HiddenKind,
     NegSampler,
@@ -21,6 +20,7 @@ from leaky_rbm.training import (
     EpochRecord,
     _chain_ends,
     expected_hidden,
+    initial_params,
     negative_phase,
     positive_phase,
     reconstruction_error,
@@ -113,7 +113,7 @@ class TestPositivePhase:
 
 class TestNegativePhase:
     def test_mix_degenerate_equals_cd(self, rng):
-        # at c = 1 the schedule AnnealSchedule(1.0, 4) holds c at 1, which
+        # at c = 1 the 4-step anneal holds c at 1, which
         # makes the mix sampler an ordinary CD chain, so the two gradient
         # estimates must be bit-identical
         p = random_safe_params(rng, 2, 2, leakiness=1.0)
@@ -128,16 +128,15 @@ class TestNegativePhase:
     @pytest.mark.parametrize("cd_steps", [1, 5])
     def test_annealed_chain_ends_are_the_samplers_chains(self, rng, cd_steps):
         # both annealed schemes run the public samplers' chains, bit for bit,
-        # on the schedule AnnealSchedule(c, cd_steps) and the same generator
+        # over cd_steps steps and on the same generator
         p = random_safe_params(rng, 5, 3, leakiness=0.1)
         p = p.with_(visible_bias=rng.uniform(-1.0, 1.0, 5))
         W, a, b = p.weights, p.visible_bias, p.hidden_bias
         assert a.all() and b.all()
         batch = rng.standard_normal((7, 5))
-        sched = AnnealSchedule(c_target=0.1, total_steps=cd_steps)
         for sampler, chains in [
-            (NegSampler.LEAKY_ANNEAL, anneal_leakiness_sample(p, sched, 7, make_rng(9))),
-            (NegSampler.MIX, mix_sample(p, batch, sched, make_rng(9))),
+            (NegSampler.LEAKY_ANNEAL, anneal_leakiness_sample(p, cd_steps, 7, make_rng(9))),
+            (NegSampler.MIX, mix_sample(p, batch, cd_steps, make_rng(9))),
         ]:
             cfg = TrainConfig(cd_steps=cd_steps, neg_sampler=sampler)
             v = _chain_ends(W, a, b, 0.1, batch, None, cfg, make_rng(9))
@@ -344,6 +343,28 @@ class TestTrain:
             mix, _ = train(p, data, replace(cfg, neg_sampler=NegSampler.MIX))
             assert np.array_equal(mix.weights, cd.weights) is same
             assert np.array_equal(mix.hidden_bias, cd.hidden_bias) is same
+
+
+class TestInitialParams:
+    @pytest.mark.parametrize("shape", [(2, 2), (16, 8)])
+    def test_feasible_draw_is_kept_bit_for_bit(self, shape):
+        p = initial_params(*shape, make_rng(7, 5), leakiness=0.05)
+        raw = make_rng(7, 5).uniform(0.0, 0.01, size=shape)
+        assert p.weights.tobytes() == raw.tobytes()
+        np.testing.assert_array_equal(p.visible_bias, np.zeros(shape[0]))
+        np.testing.assert_array_equal(p.hidden_bias, np.zeros(shape[1]))
+        assert p.leakiness == 0.05 and p.hidden_kind is HiddenKind.LEAKY_RELU
+
+    def test_infeasible_draw_is_made_feasible(self):
+        # U(0, 0.01) at 784x60 has sigma_max ~1.08
+        raw = make_rng(0).uniform(0.0, 0.01, size=(784, 60))
+        assert not is_globally_safe(raw)[0]
+        assert is_globally_safe(initial_params(784, 60, make_rng(0)).weights)[0]
+
+    @pytest.mark.parametrize("leakiness", [0.1, 1.0, 5.0])
+    def test_bernoulli_units_store_leakiness_1(self, leakiness):
+        p = initial_params(3, 2, make_rng(0), leakiness, HiddenKind.BERNOULLI)
+        assert p.leakiness == 1.0 and p.hidden_kind is HiddenKind.BERNOULLI
 
 
 class TestReconstructionError:
