@@ -88,6 +88,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _leakiness(text: str) -> float:
+    """argparse type: a leakiness in (0, 1], checked for either hidden kind."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # negated so that NaN fails it too
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _one_of(table: dict):
     """argparse type: look a name up in ``table``.
 
@@ -142,7 +150,7 @@ def build_parser(config: dict[str, str] | None = None) -> _Parser:
         default="leaky",
     )
     p_train.add_argument("--hidden", type=_count(1), default=16)
-    p_train.add_argument("--leakiness", type=float, default=0.1)
+    p_train.add_argument("--leakiness", type=_leakiness, default=0.1)
     p_train.add_argument("--epochs", type=_count(0), default=10)
     p_train.add_argument("--learning-rate", type=float, default=0.01)
     p_train.add_argument("--momentum", type=float, default=0.0)

@@ -22,6 +22,9 @@ from .errors import DimensionError, LeakyRbmError
 # Smallest eigenvalue of I - W W^T (or of a region precision matrix)
 # that still counts as positive (semi-)definite.
 SAFE_TOL = 1e-10
+# sigma_max above which the clip forms its clipped part apart from the rest
+# of W: there the one-step update has lost half its digits.
+_FAR = 2.0**26
 
 
 class ProjectionReport:
@@ -151,18 +154,30 @@ def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
         return W, ProjectionReport(0, None, gram, exp)
     sigma = np.ldexp(np.sqrt(lam), exp)
     smax = float(sigma[-1])
-    T -= ((T @ V) * (1.0 - 1.0 / sigma)) @ V.T
-    np.ldexp(T, exp, out=T)
+    n = gram.shape[0]
+    TV = T @ V
+    if smax <= _FAR:
+        T -= (TV * (1.0 - 1.0 / sigma)) @ V.T
+        np.ldexp(T, exp, out=T)
+    else:
+        # T - TV (1 - 1/sigma) V^T subtracts terms of size sigma_max to leave
+        # ones of size 1, so it would lose all digits near 1 / eps.  Here the
+        # clipped part U_k V_k^T is formed on its own, and the rest of W,
+        # T - T V V^T, is added only if some singular value is not clipped.
+        rest = np.ldexp(T - TV @ V.T, exp) if len(lam) < n else 0.0
+        T = (TV / np.sqrt(lam)) @ V.T + rest
     W_proj = np.ascontiguousarray(T.T) if W.shape[0] < W.shape[1] else T
-    # The rank-k update is accurate to about n * eps * sigma_max, and the
-    # Gram eigenvalues to about n * eps * sigma_max^2, which puts each
-    # clipped sigma off by about n * eps * (sigma_max / sigma)^2 relative,
-    # the smallest, sigma[0], the most.  1 - sigma^2 moves by up to about
+    # The update is accurate to about n * eps * sigma_max (to about n * eps
+    # when every singular value is clipped past _FAR), and the Gram
+    # eigenvalues to about n * eps * sigma_max^2, which puts each clipped
+    # sigma off by about n * eps * (sigma_max / sigma)^2 relative, the
+    # smallest, sigma[0], the most.  1 - sigma^2 moves by up to about
     # twice their sum (1.8 times it on random 6 x 4 inputs); the check
     # doubles that for margin.  Far outside the feasible set this alone
     # can break I - W W^T >= 0, so the result is clipped again; each pass
     # shrinks the error by another factor of about n * eps.
-    error = gram.shape[0] * np.finfo(np.float64).eps * (smax + (smax / sigma[0]) ** 2)
+    update = smax if smax <= _FAR or len(lam) < n else 1.0
+    error = n * np.finfo(np.float64).eps * (update + (smax / sigma[0]) ** 2)
     if 4.0 * error > SAFE_TOL:
         W_proj = _clip(W_proj)[0]
     return W_proj, ProjectionReport(len(lam), smax)

@@ -10,11 +10,20 @@ negative phases, all run on ``_anneal``, the one place that turns an
 chain ends at its model's own leakiness.  All randomness comes from a
 caller-supplied numpy Generator (or a seed), which makes every sampler
 deterministic given its inputs.
+
+A ``_run_chains`` run whose draws fill more than one chunk (``_Draws``)
+makes them on one helper thread, a few chunks ahead of the sweeps, while
+the main thread does the arithmetic and leaves the generator alone.  The
+helper makes the generator calls the sweeps would make, in their order,
+so every output keeps its bits and the generator ends in the same state.
+BLAS threading is left as the environment sets it.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -27,6 +36,10 @@ from .projection import max_singular_value, safety_from_max_singular_value
 # 1, so the c = 1 covariance stays invertible for the exact base draw.
 _BASE_SHRINK_MARGIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
+# The draws of a long chain run are made ahead of its sweeps into a ring of
+# _RING buffers, each of _CHUNK doubles (0.5 MB) or of one level's draws if more.
+_RING = 3
+_CHUNK = 1 << 16
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -154,7 +167,8 @@ def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
     Draws h | v for leaky units of leakiness c, or Bernoulli units when c
     is None, then v | h ~ N(a + W h, I); W_t is W^T, in any layout.  A
     leaky unit on slope alpha (``branch_slopes``) draws alpha eta +
-    sqrt(alpha) z.  Returns (v', h).
+    sqrt(alpha) z.  rng is a Generator or, in ``_run_chains``, its ``_Draws``.
+    Returns (v', h).
     """
     if c is None:
         h = (rng.random(eta.shape) < sigmoid(eta)).astype(np.float64)
@@ -212,18 +226,120 @@ def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> Chai
 
     c None means Bernoulli units.  ``eta``, when given, is the first sweep's v W + b;
     ``W_t`` is W^T in any layout, by default the view W.T; and ``score(v, eta, c, s)``
-    runs before each sweep.  v and eta are not written; no levels give h = 0.
+    runs before each sweep.  v and eta are not written; no levels give h = 0.  The
+    sweeps draw through ``_Draws``, which leaves rng as drawing from it directly would;
+    its helper thread, if any, is joined before this returns or raises.
     """
     W_t = W.T if W_t is None else W_t
     h = None if levels else np.zeros((v.shape[0], W.shape[1]))
     b_rows = None  # b tiled over the chains once: one flat add, not a short loop per chain
-    for c, s in levels:
-        if eta is None:
-            eta = v @ W if s == 1.0 else v @ (W * s)
-            b_rows = np.tile(b, (v.shape[0], 1)) if b_rows is None else b_rows
-            eta += b_rows if s == 1.0 else b_rows * s
-        if score is not None:
-            score(v, eta, c, s)
-        v, h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, rng)
-        eta = None
+    draws = _Draws(levels, v.shape[0], *W.shape, rng)
+    try:
+        for c, s in levels:
+            if eta is None:
+                eta = v @ W if s == 1.0 else v @ (W * s)
+                b_rows = np.tile(b, (v.shape[0], 1)) if b_rows is None else b_rows
+                eta += b_rows if s == 1.0 else b_rows * s
+            if score is not None:
+                score(v, eta, c, s)
+            v, h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, draws)
+            eta = None
+    finally:
+        draws.close()
     return ChainSet(v=v, h=h)
+
+
+class _Draws:
+    """The draws of the sweeps over ``levels`` of n chains with I visible, J hidden units.
+
+    Stands in for the generator in ``_sweep``: ``random`` and ``standard_normal``
+    return, in turn, the block each sweep asks for, of the shape it asks: its
+    hidden draws ((n, J) uniforms for Bernoulli units, normals for leaky ones),
+    then its (n, I) visible normals.  The blocks are drawn a chunk of whole
+    levels at a time, by one rng call per run of blocks of one kind: a call of
+    size N draws the same bits, and leaves rng in the same state, as calls whose
+    sizes sum to N.  A run that fits in one chunk draws it at the first ask and
+    starts no thread.  A longer run draws on one helper thread, up to _RING
+    chunks ahead of the sweeps; the caller leaves rng alone until ``close`` has
+    joined it.  After an exception, rng may have drawn past the level that raised.
+    """
+
+    def __init__(self, levels, n: int, n_visible: int, n_hidden: int, rng):
+        per_level = n * (n_hidden + n_visible)
+        span = max(1, _CHUNK // max(per_level, 1))  # levels to a chunk
+        chunks = [levels[i:i + span] for i in range(0, len(levels), span)]
+        # per chunk, its rng calls and the number of blocks it hands out
+        self._chunks = [(self._calls(chunk, n * n_hidden, n * n_visible), 2 * len(chunk))
+                        for chunk in chunks]
+        self._bufs = [np.empty((min(len(levels), span), per_level))
+                      for _ in range(min(len(chunks), _RING))]
+        self._views = [[block for row in buf for block in (
+                            row[:n * n_hidden].reshape(n, n_hidden),
+                            row[n * n_hidden:].reshape(n, n_visible))]
+                       for buf in self._bufs]
+        self._rng = rng
+        self._blocks = self._hand_out()
+        self._thread = None
+        if len(chunks) > 1:
+            self._free = threading.Semaphore(len(self._bufs))
+            self._filled = threading.Semaphore(0)
+            self._stop, self._error = False, None
+            # a daemon, so that a join cut short by an interrupt cannot hold up exit
+            self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
+            self._thread.start()
+
+    @staticmethod
+    def _calls(levels, hidden_size: int, visible_size: int) -> list:
+        """(uniform, start, stop) of each rng call that draws the blocks of levels."""
+        blocks = [block for c, _s in levels
+                  for block in ((c is None, hidden_size), (False, visible_size))]
+        calls, stop = [], 0
+        for uniform, run in groupby(blocks, key=lambda block: block[0]):
+            start, stop = stop, stop + sum(size for _uniform, size in run)
+            calls.append((uniform, start, stop))
+        return calls
+
+    def _fill(self, k: int, calls) -> None:
+        """Draw chunk k into its ring buffer."""
+        flat = self._bufs[k % len(self._bufs)].reshape(-1)
+        for uniform, start, stop in calls:
+            (self._rng.random if uniform else self._rng.standard_normal)(out=flat[start:stop])
+
+    def _draw_ahead(self) -> None:
+        """The helper thread: fill the chunks in order, each once its buffer is free."""
+        try:
+            for k, (calls, _n_blocks) in enumerate(self._chunks):
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._fill(k, calls)
+                self._filled.release()
+        except BaseException as exc:  # raised in the main thread at its next chunk
+            self._error = exc
+            self._filled.release()
+
+    def _hand_out(self):
+        """The blocks, in the order the sweeps ask for them."""
+        for k, (calls, n_blocks) in enumerate(self._chunks):
+            if self._thread is None:
+                self._fill(k, calls)
+            else:
+                self._filled.acquire()
+                if self._error is not None:
+                    raise self._error
+            yield from self._views[k % len(self._views)][:n_blocks]
+            if self._thread is not None:  # the sweeps are done with this chunk
+                self._free.release()
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return next(self._blocks)
+
+    random = standard_normal
+
+    def close(self) -> None:
+        """Stop and join the helper thread, if any, and let the buffers go."""
+        self._blocks = None  # the generator refers back to self: a cycle the GC would free late
+        if self._thread is not None:
+            self._stop = True
+            self._free.release()  # wakes a helper that waits for a buffer
+            self._thread.join()

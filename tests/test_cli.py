@@ -233,6 +233,29 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1, err
         assert not (tmp_path / "model.rbm").exists()
 
+    @pytest.mark.parametrize("config, leakiness", [
+        (None, "5"), (None, "nan"), ("leakiness=5", None), ("leakiness=-0.5", None),
+    ])
+    @pytest.mark.parametrize("kind", ["leaky", "bernoulli"])
+    def test_leakiness_outside_0_1_writes_no_model(
+        self, tmp_path, rng, capsys, kind, config, leakiness
+    ):
+        # Bernoulli units have no leakiness, yet a flag or config value out of
+        # (0, 1] is a usage error for them too, as for leaky units
+        data = _write_data(tmp_path / "d.csv", rng)
+        head = ["--out", str(tmp_path)]
+        if config is not None:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(config + "\n")
+            head += ["--config", str(cfg)]
+        argv = ["train", "--data", str(data), "--hidden", "2", "--epochs", "0", "--kind", kind]
+        rc = main(head + argv + ([] if leakiness is None else ["--leakiness", leakiness]))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "--leakiness" in err and "(0, 1]" in err, err
+        assert not (tmp_path / "model.rbm").exists()
+
     def test_config_file_supplies_options(self, tmp_path, rng):
         data = _write_data(tmp_path / "d.csv", rng)
         cfg = tmp_path / "cfg"

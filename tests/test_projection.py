@@ -120,6 +120,21 @@ class TestAgainstSvd:
         np.testing.assert_allclose(max_singular_value(W), s[0], rtol=1e-12)
         assert report.clipped_count == int(np.count_nonzero(s > 1.0))
 
+    @pytest.mark.parametrize("scale", [1e14, 1e100])
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 4), (4, 6)])
+    def test_far_outside_keeps_its_digits(self, shape, scale):
+        # every singular value is clipped, so the result is the polar factor;
+        # the one-step update T - T V (1 - 1/sigma) V^T cancels to about
+        # 1e-2 at 1e14 and returns W = 0 at 1e100
+        if shape == (2, 2):
+            W = np.array([[0.7, 0.3], [-0.2, 0.6]])
+        else:
+            W = _with_singular_values(shape, np.linspace(3.0, 1.5, 4), 9)
+        W_proj, report = project_spectral(scale * W)
+        assert report.clipped_count == min(shape)
+        assert np.abs(W_proj - _svd_projection(scale * W)).max() <= 1e-12
+        np.testing.assert_allclose(np.linalg.svd(W_proj, compute_uv=False), 1.0, rtol=1e-12)
+
     def test_far_outside_with_a_small_clipped_value(self):
         # sigma_max 4459.5 beside clipped values near 2: estimating the
         # rounding from sigma_max alone skipped the second pass, and draws

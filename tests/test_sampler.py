@@ -1,16 +1,23 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 from scipy import stats
 
+import leaky_rbm.sampler as sampler
 from leaky_rbm import (
+    AnnealingPath,
     AnnealSchedule,
     DimensionError,
     HiddenKind,
     NonPDRegionError,
     RbmParams,
+    ais_estimate,
     anneal_leakiness_sample,
     gibbs_step,
     mix_sample,
@@ -20,6 +27,7 @@ from leaky_rbm.projection import project_spectral
 from leaky_rbm.sampler import _run_chains, _sweep, gaussian_base_moments, make_rng
 from leaky_rbm.partition import gaussian_log_z, quadrature_log_z
 from leaky_rbm.model import log_unnorm_marginal
+from leaky_rbm.experiments import random_orthogonal_params
 
 from conftest import random_safe_params
 
@@ -528,3 +536,190 @@ class TestRunChains:
                              make_rng(6))
         assert chains.v is v0
         _assert_same_bits(chains.h, np.zeros((4, 3)))
+
+
+def _serial_run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None):
+    """``_run_chains`` with every draw made by rng itself, inside ``_sweep``."""
+    W_t = W.T if W_t is None else W_t
+    h = np.zeros((v.shape[0], W.shape[1]))
+    for c, s in levels:
+        if eta is None:
+            eta = v @ (W * s) + b * s
+        if score is not None:
+            score(v, eta, c, s)
+        v, h = _sweep(eta, W_t * s, a, c, rng)
+        eta = None
+    return sampler.ChainSet(v=v, h=h)
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The threads started while the test runs."""
+    started, Thread = [], threading.Thread
+
+    class Spy(Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+class TestDrawsAhead:
+    """A chain run whose draws fill more than one chunk makes them on one
+    helper thread; its outputs, and the generator's state after it, are
+    those of the serial loop that draws inside each sweep, bit for bit.
+    The sizes are the ais-64 benchmark's, so every case here threads."""
+
+    @staticmethod
+    def _serially(monkeypatch, run):
+        """run() with the chain loop swapped for the serial one."""
+        import leaky_rbm.partition as partition
+
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_run_chains", _serial_run_chains)
+            m.setattr(partition, "_run_chains", _serial_run_chains)
+            return run()
+
+    @staticmethod
+    def _check_next_draws(g, g_ref):
+        _assert_same_bits(g.standard_normal(3), g_ref.standard_normal(3))
+
+    @pytest.mark.parametrize("n_hidden", [2, 16])
+    @pytest.mark.parametrize("kind", ["leaky", "energy"])
+    def test_ais_log_weights(self, monkeypatch, threads_started, n_hidden, kind):
+        p = random_orthogonal_params(64, n_hidden, 0.01, np.random.default_rng([0, 64, n_hidden]))
+        path = (AnnealingPath.leaky(0.01, 40) if kind == "leaky"
+                else AnnealingPath.energy(40))
+        g, g_ref = make_rng(11), make_rng(11)
+        est = ais_estimate(p, path, 1000, g)
+        assert len(threads_started) == 1
+        ref = self._serially(monkeypatch, lambda: ais_estimate(p, path, 1000, g_ref))
+        _assert_same_bits(est.log_weights, ref.log_weights)
+        assert est.log_z == ref.log_z
+        self._check_next_draws(g, g_ref)
+
+    def test_anneal_leakiness_sample(self, monkeypatch, threads_started, rng):
+        p = random_safe_params(rng, 64, 16, leakiness=0.05)
+        g, g_ref = make_rng(12), make_rng(12)
+        chains = anneal_leakiness_sample(p, 50, 1000, g)
+        assert len(threads_started) == 1
+        ref = self._serially(monkeypatch, lambda: anneal_leakiness_sample(p, 50, 1000, g_ref))
+        _assert_same_bits(chains.v, ref.v)
+        _assert_same_bits(chains.h, ref.h)
+        self._check_next_draws(g, g_ref)
+
+    @pytest.mark.parametrize("n_chains", [300, 1000], ids=["2-levels-a-chunk", "1-level"])
+    def test_bernoulli_run_chains(self, threads_started, rng, n_chains):
+        # uniforms then normals at every level: two rng calls a level
+        W = random_safe_params(rng, 64, 16).weights
+        a, b = rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 16)
+        levels = [(None, s) for s in np.linspace(1.0, 0.1, 9)]
+        v0 = rng.standard_normal((n_chains, 64))
+        g, g_ref = make_rng(13), make_rng(13)
+        chains = _run_chains(W, a, b, levels, v0, g)
+        assert len(threads_started) == 1
+        ref = _serial_run_chains(W, a, b, levels, v0, g_ref)
+        _assert_same_bits(chains.v, ref.v)
+        _assert_same_bits(chains.h, ref.h)
+        self._check_next_draws(g, g_ref)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_raising_score_joins_the_helper(self, threads_started, rng, error):
+        p = random_safe_params(rng, 64, 16)
+        seen = []
+
+        def score(v, eta, c, s):
+            seen.append(c)
+            if len(seen) == 5:
+                raise error("level 5")
+
+        before = threading.active_count()
+        with pytest.raises(error, match="level 5"):
+            _run_chains(p.weights, p.visible_bias, p.hidden_bias, [(0.1, 1.0)] * 20,
+                        rng.standard_normal((1000, 64)), make_rng(14), score=score)
+        assert len(seen) == 5 and len(threads_started) == 1
+        assert threading.active_count() == before
+        assert not threads_started[0].is_alive()
+
+    def test_a_failing_draw_raises_in_the_caller(self, threads_started, rng):
+        class Failing:
+            def standard_normal(self, out):
+                raise RuntimeError("no draws")
+
+        p = random_safe_params(rng, 64, 16)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="no draws"):
+            _run_chains(p.weights, p.visible_bias, p.hidden_bias, [(0.1, 1.0)] * 20,
+                        rng.standard_normal((1000, 64)), Failing())
+        assert len(threads_started) == 1 and threading.active_count() == before
+
+    def test_concurrent_runs_under_fast_switching(self, rng):
+        # three runs at once, each with its helper, on two cores, switching
+        # threads every microsecond: a buffer handed back before its sweeps
+        # were done with it, or filled twice, would change the bits
+        p = random_safe_params(rng, 64, 16)
+        levels = [(0.1, 1.0)] * 40
+        starts = [rng.standard_normal((300, 64)) for _ in range(3)]
+        refs = [_serial_run_chains(p.weights, p.visible_bias, p.hidden_bias, levels, v0,
+                                   make_rng(17, k)).v for k, v0 in enumerate(starts)]
+        out = [None] * 3
+
+        def run(k):
+            out[k] = _run_chains(p.weights, p.visible_bias, p.hidden_bias, levels, starts[k],
+                                 make_rng(17, k)).v
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        for v, v_ref in zip(out, refs):
+            _assert_same_bits(v, v_ref)
+
+    @pytest.mark.parametrize("n_levels", [1, 20], ids=["inline", "threaded"])
+    def test_draws_are_freed_on_return(self, monkeypatch, rng, n_levels):
+        # by reference counting, not later by the cyclic collector: training
+        # makes one run per minibatch, and freeing each late cost 30 MiB
+        freed = []
+
+        class Spy(sampler._Draws):
+            def __init__(self, *args):
+                super().__init__(*args)
+                freed.append(weakref.ref(self))
+
+        monkeypatch.setattr(sampler, "_Draws", Spy)
+        p = random_safe_params(rng, 64, 16)
+        gc.disable()
+        try:
+            _run_chains(p.weights, p.visible_bias, p.hidden_bias, [(0.1, 1.0)] * n_levels,
+                        rng.standard_normal((1000, 64)), make_rng(16))
+            assert len(freed) == 1 and freed[0]() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n_visible, n_hidden, n, n_levels", [
+        (784, 500, 100, 1),  # CD-1 at the train-784 benchmark's size
+        (64, 16, 1000, 1),
+        (2, 2, 100, 20),  # an annealed negative phase of the mixing experiment
+    ], ids=["784x500-cd1", "64x16-cd1", "2x2-20-levels"])
+    def test_one_chunk_draws_inline(self, monkeypatch, rng, n_visible, n_hidden, n, n_levels):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk run started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        p = random_safe_params(rng, n_visible, n_hidden)
+        v0 = rng.standard_normal((n, n_visible))
+        levels = [(0.1, 1.0)] * n_levels
+        g, g_ref = make_rng(15), make_rng(15)
+        chains = _run_chains(p.weights, p.visible_bias, p.hidden_bias, levels, v0, g)
+        ref = _serial_run_chains(p.weights, p.visible_bias, p.hidden_bias, levels, v0, g_ref)
+        _assert_same_bits(chains.v, ref.v)
+        self._check_next_draws(g, g_ref)

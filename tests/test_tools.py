@@ -40,7 +40,7 @@ def test_kernel_timings_runs_at_a_tiny_size(monkeypatch):
         return rows + list(tool._quadrature_rows(repeats=1))
 
     rows = _with_tool("kernel_timings", monkeypatch, run)
-    assert len(rows) == 10
+    assert len(rows) == 11
     # an AIS level is a difference of two timings, so only its finiteness is checked
     assert all(isinstance(name, str) and math.isfinite(seconds) for name, seconds in rows)
 

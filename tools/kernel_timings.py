@@ -14,8 +14,11 @@ the mean time of one call, where a sample runs enough calls to last about
 5 ms.  One AIS level is the time of an estimate with L levels less that
 of an estimate with one level, over L - 1, so it includes the level's
 response pass, its log-weight increment and its Gibbs sweep, and leaves
-out the base draw.  BLAS runs on one thread unless the environment says
-otherwise, as in ``perfbench/run.py``.
+out the base draw.  Beside it, "AIS level draws" times only the two
+normal blocks that a leaky level's sweep draws on the span model of W,
+(n, J) hidden and (n, min(I, J)) visible: the floor of a level, made on
+a helper thread when a chain runs many levels.  BLAS runs on one thread
+unless the environment says otherwise, as in ``perfbench/run.py``.
 """
 from __future__ import annotations
 
@@ -94,6 +97,9 @@ def _rows(n_visible: int, n_hidden: int, n: int, ais_levels: int, repeats: int):
         ("_sweep (Bernoulli)", _per_call(lambda: _sweep(eta, W.T, a, None, g), repeats)),
         ("AIS level (leaky path)", _ais_level(params, "leaky", n, ais_levels, repeats)),
         ("AIS level (energy path)", _ais_level(params, "energy", n, ais_levels, repeats)),
+        ("AIS level draws (leaky path)", _per_call(
+            lambda: (g.standard_normal((n, n_hidden)),
+                     g.standard_normal((n, min(n_visible, n_hidden)))), repeats)),
         ("log_unnorm_marginal", _per_call(lambda: log_unnorm_marginal(params, v), repeats)),
         ("_draw_base", _per_call(lambda: _draw_base(mean, chol_prec, n, g), repeats)),
         ("project_spectral (certifies)", _per_call(lambda: project_spectral(inside), repeats)),
