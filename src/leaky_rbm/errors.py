@@ -30,16 +30,23 @@ class DivergentIntegralError(LeakyRbmError):
 
 
 class TrainingDivergedError(LeakyRbmError):
-    """Parameters became non-finite during training, or the epoch's
+    """Parameters became non-finite during training, or blew up to
+    ``max_singular_value`` before the projection, or the epoch's
     reconstruction error overflowed (``batch_index`` None)."""
 
-    def __init__(self, epoch: int, batch_index: int | None = None):
+    def __init__(self, epoch: int, batch_index: int | None = None,
+                 max_singular_value: float | None = None):
         self.epoch = epoch
         self.batch_index = batch_index
-        super().__init__(
-            f"reconstruction error overflowed at epoch {epoch}" if batch_index is None
-            else f"non-finite parameters at epoch {epoch}, batch {batch_index}"
-        )
+        self.max_singular_value = max_singular_value
+        if batch_index is None:
+            message = f"reconstruction error overflowed at epoch {epoch}"
+        elif max_singular_value is None:
+            message = f"non-finite parameters at epoch {epoch}, batch {batch_index}"
+        else:
+            message = (f"weights blew up to sigma_max {max_singular_value:.3g} "
+                       f"at epoch {epoch}, batch {batch_index}")
+        super().__init__(message)
 
 
 class ModelFileError(LeakyRbmError, ValueError):

@@ -16,14 +16,15 @@ makes them on one helper thread, a few chunks ahead of the sweeps, while
 the main thread does the arithmetic and leaves the generator alone.  The
 helper makes the generator calls the sweeps would make, in their order,
 so every output keeps its bits and the generator ends in the same state.
-BLAS threading is left as the environment sets it.
+Training plans a whole epoch's draws in one ``_Draws`` and passes it to
+each minibatch's chains in place of the generator.  BLAS threading is
+left as the environment sets it.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .projection import max_singular_value, safety_from_max_singular_value
 _BASE_SHRINK_MARGIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 # The draws of a long chain run are made ahead of its sweeps into a ring of
-# _RING buffers, each of _CHUNK doubles (0.5 MB) or of one level's draws if more.
+# _RING buffers, each of a chunk: whole blocks of draws, at most _CHUNK
+# doubles (0.5 MB) or twice the largest block.
 _RING = 3
 _CHUNK = 1 << 16
 
@@ -167,7 +169,7 @@ def _sweep(eta, W_t, a, c, rng) -> tuple[np.ndarray, np.ndarray]:
     Draws h | v for leaky units of leakiness c, or Bernoulli units when c
     is None, then v | h ~ N(a + W h, I); W_t is W^T, in any layout.  A
     leaky unit on slope alpha (``branch_slopes``) draws alpha eta +
-    sqrt(alpha) z.  rng is a Generator or, in ``_run_chains``, its ``_Draws``.
+    sqrt(alpha) z.  rng is a Generator or a ``_Draws``.
     Returns (v', h).
     """
     if c is None:
@@ -213,7 +215,8 @@ def _anneal(W, a, b, c, n_steps: int, v, rng) -> ChainSet:
 
     v holds the chains' start rows, or is a scalar n, their number, to start
     them at n exact draws from the c = 1 Gaussian of (W, a, b), as
-    ``sample_gaussian_base`` draws them.
+    ``sample_gaussian_base`` draws them.  rng is a Generator or an open
+    ``_Draws`` whose plan holds these draws next (``_chain_blocks``).
     """
     levels = [(c_t, 1.0) for c_t in AnnealSchedule(c, n_steps).leakiness_sequence().tolist()]
     if np.ndim(v) == 0:
@@ -226,14 +229,17 @@ def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> Chai
 
     c None means Bernoulli units.  ``eta``, when given, is the first sweep's v W + b;
     ``W_t`` is W^T in any layout, by default the view W.T; and ``score(v, eta, c, s)``
-    runs before each sweep.  v and eta are not written; no levels give h = 0.  The
-    sweeps draw through ``_Draws``, which leaves rng as drawing from it directly would;
-    its helper thread, if any, is joined before this returns or raises.
+    runs before each sweep.  v and eta are not written; no levels give h = 0.  Given
+    a Generator, the sweeps draw through a ``_Draws`` of their own, which leaves rng
+    as drawing from it directly would; its helper thread, if any, is joined before
+    this returns or raises.  Given an open ``_Draws``, they draw from it, and its
+    owner closes it.
     """
     W_t = W.T if W_t is None else W_t
     h = None if levels else np.zeros((v.shape[0], W.shape[1]))
     b_rows = None  # b tiled over the chains once: one flat add, not a short loop per chain
-    draws = _Draws(levels, v.shape[0], *W.shape, rng)
+    own = not isinstance(rng, _Draws)
+    draws = _Draws(_chain_blocks(levels, v.shape[0], *W.shape), rng) if own else rng
     try:
         for c, s in levels:
             if eta is None:
@@ -245,42 +251,65 @@ def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> Chai
             v, h = _sweep(eta, W_t if s == 1.0 else W_t * s, a, c, draws)
             eta = None
     finally:
-        draws.close()
+        if own:
+            draws.close()
     return ChainSet(v=v, h=h)
 
 
-class _Draws:
-    """The draws of the sweeps over ``levels`` of n chains with I visible, J hidden units.
+def _chain_blocks(levels, n: int, n_visible: int, n_hidden: int, base: bool = False) -> list:
+    """The ``_Draws`` plan of n chains' sweeps over levels, after their n c = 1 base draws if base.
 
-    Stands in for the generator in ``_sweep``: ``random`` and ``standard_normal``
-    return, in turn, the block each sweep asks for, of the shape it asks: its
-    hidden draws ((n, J) uniforms for Bernoulli units, normals for leaky ones),
-    then its (n, I) visible normals.  The blocks are drawn a chunk of whole
-    levels at a time, by one rng call per run of blocks of one kind: a call of
-    size N draws the same bits, and leaves rng in the same state, as calls whose
-    sizes sum to N.  A run that fits in one chunk draws it at the first ask and
-    starts no thread.  A longer run draws on one helper thread, up to _RING
-    chunks ahead of the sweeps; the caller leaves rng alone until ``close`` has
-    joined it.  After an exception, rng may have drawn past the level that raised.
+    Per level (c, s), its hidden block ((n, J) uniforms for Bernoulli units, c
+    None, normals for leaky ones), then its (n, I) visible normals.
+    """
+    blocks = [("standard_normal", n, n_visible)] if base else []
+    for c, _s in levels:
+        blocks += [("random" if c is None else "standard_normal", n, n_hidden),
+                   ("standard_normal", n, n_visible)]
+    return blocks
+
+
+class _Draws:
+    """The draws of a plan of blocks (kind, rows, cols), handed out in its order.
+
+    Stands in for the generator in ``_sweep`` and ``_draw_base``: ``random`` and
+    ``standard_normal`` return, in turn, the next block of the plan, whose kind
+    is the name of the generator method that draws it ("random" for uniforms,
+    "standard_normal" for normals) and whose shape is the one the caller asks
+    for (``_chain_blocks`` plans the sweeps' blocks).  The blocks are drawn a
+    chunk at a time, by one rng call per run of blocks of one kind: a call of
+    size N draws the same bits, and leaves rng in the same state, as calls
+    whose sizes sum to N.  A block starts a new chunk when it would take the
+    current one past _CHUNK doubles and that one already holds more than the
+    block; so a level whose draws exceed _CHUNK stays in one chunk.  A plan
+    that fits in one chunk draws it at the first ask and starts no thread.  A
+    longer one draws on one helper thread, up to _RING chunks ahead of its
+    users; the caller leaves rng alone until ``close`` has joined it.  After an
+    exception, rng may have drawn past the block that raised.
     """
 
-    def __init__(self, levels, n: int, n_visible: int, n_hidden: int, rng):
-        per_level = n * (n_hidden + n_visible)
-        span = max(1, _CHUNK // max(per_level, 1))  # levels to a chunk
-        chunks = [levels[i:i + span] for i in range(0, len(levels), span)]
-        # per chunk, its rng calls and the number of blocks it hands out
-        self._chunks = [(self._calls(chunk, n * n_hidden, n * n_visible), 2 * len(chunk))
-                        for chunk in chunks]
-        self._bufs = [np.empty((min(len(levels), span), per_level))
-                      for _ in range(min(len(chunks), _RING))]
-        self._views = [[block for row in buf for block in (
-                            row[:n * n_hidden].reshape(n, n_hidden),
-                            row[n * n_hidden:].reshape(n, n_visible))]
-                       for buf in self._bufs]
+    def __init__(self, plan, rng):
+        # per chunk, its rng calls (kind, start, stop) and its blocks (start, rows, cols)
+        self._chunks, calls, blocks, used = [], [], [], 0
+        for kind, rows, cols in plan:
+            size = rows * cols
+            if used + size > _CHUNK and used > size:  # full: the block starts the next chunk
+                self._chunks.append((calls, blocks))
+                calls, blocks, used = [], [], 0
+            if calls and calls[-1][0] == kind:
+                calls[-1] = (kind, calls[-1][1], used + size)
+            else:
+                calls.append((kind, used, used + size))
+            blocks.append((used, rows, cols))
+            used += size
+        if blocks:
+            self._chunks.append((calls, blocks))
+        largest = max((calls[-1][2] for calls, _blocks in self._chunks), default=0)
+        self._bufs = [np.empty(largest) for _ in range(min(len(self._chunks), _RING))]
         self._rng = rng
         self._blocks = self._hand_out()
         self._thread = None
-        if len(chunks) > 1:
+        if len(self._chunks) > 1:
             self._free = threading.Semaphore(len(self._bufs))
             self._filled = threading.Semaphore(0)
             self._stop, self._error = False, None
@@ -288,47 +317,38 @@ class _Draws:
             self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
             self._thread.start()
 
-    @staticmethod
-    def _calls(levels, hidden_size: int, visible_size: int) -> list:
-        """(uniform, start, stop) of each rng call that draws the blocks of levels."""
-        blocks = [block for c, _s in levels
-                  for block in ((c is None, hidden_size), (False, visible_size))]
-        calls, stop = [], 0
-        for uniform, run in groupby(blocks, key=lambda block: block[0]):
-            start, stop = stop, stop + sum(size for _uniform, size in run)
-            calls.append((uniform, start, stop))
-        return calls
-
-    def _fill(self, k: int, calls) -> None:
+    def _fill(self, k: int) -> None:
         """Draw chunk k into its ring buffer."""
-        flat = self._bufs[k % len(self._bufs)].reshape(-1)
-        for uniform, start, stop in calls:
-            (self._rng.random if uniform else self._rng.standard_normal)(out=flat[start:stop])
+        flat = self._bufs[k % len(self._bufs)]
+        for kind, start, stop in self._chunks[k][0]:
+            getattr(self._rng, kind)(out=flat[start:stop])
 
     def _draw_ahead(self) -> None:
         """The helper thread: fill the chunks in order, each once its buffer is free."""
         try:
-            for k, (calls, _n_blocks) in enumerate(self._chunks):
+            for k in range(len(self._chunks)):
                 self._free.acquire()
                 if self._stop:
                     return
-                self._fill(k, calls)
+                self._fill(k)
                 self._filled.release()
         except BaseException as exc:  # raised in the main thread at its next chunk
             self._error = exc
             self._filled.release()
 
     def _hand_out(self):
-        """The blocks, in the order the sweeps ask for them."""
-        for k, (calls, n_blocks) in enumerate(self._chunks):
+        """The blocks, in the order of the plan."""
+        for k, (_calls, blocks) in enumerate(self._chunks):
             if self._thread is None:
-                self._fill(k, calls)
+                self._fill(k)
             else:
                 self._filled.acquire()
                 if self._error is not None:
                     raise self._error
-            yield from self._views[k % len(self._views)][:n_blocks]
-            if self._thread is not None:  # the sweeps are done with this chunk
+            flat = self._bufs[k % len(self._bufs)]
+            for start, rows, cols in blocks:
+                yield flat[start:start + rows * cols].reshape(rows, cols)
+            if self._thread is not None:  # its users are done with this chunk
                 self._free.release()
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -343,3 +363,4 @@ class _Draws:
             self._stop = True
             self._free.release()  # wakes a helper that waits for a buffer
             self._thread.join()
+        self._bufs = None  # now, though the owner may keep self a while

@@ -19,11 +19,25 @@ formulas, so the result is bit for bit that of the public phases below.
 W has a velocity buffer only with momentum, and the weight-decay product
 is formed only with weight decay.  Parameters are checked for finiteness
 once per minibatch, before the projection, and the reconstruction error
-once per epoch, so numpy's overflow warnings are silenced until then.
+once per epoch, so numpy's overflow warnings are silenced until then.  A
+step that the projection finds past sigma_max ``projection._FAR`` has
+diverged too: the clip would hide it, and it reads that sigma_max anyway.
 ``positive_phase`` and ``negative_phase`` run the same helpers, with every sampler.
+
+Threads: the main thread runs the minibatch's response pass, its negative
+phase, the update and the projection.  Two others may work beside it,
+and both are joined before ``train`` returns or raises.  The epoch's
+Gibbs noise, planned minibatch by minibatch after the epoch's
+permutation, is drawn ahead on the helper thread of ``sampler._Draws``
+once it fills more than one chunk.  When dW has more than ``_CHUNK``
+entries, one worker computes the positive statistics batch^T h / n
+while the main thread runs the negative phase; the main thread reads
+them only after the negative statistics, so the update keeps its order
+and its bits.  BLAS threading is left as the environment sets it.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
@@ -34,8 +48,8 @@ import numpy as np
 from .errors import TrainingDivergedError
 from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
                     branch_slopes, response, sigmoid)
-from .projection import _clip
-from .sampler import _anneal, _as_rng, _run_chains
+from .projection import _FAR, _clip
+from .sampler import _CHUNK, _Draws, _anneal, _as_rng, _chain_blocks, _run_chains
 
 
 class NegSampler(enum.Enum):
@@ -166,12 +180,43 @@ def _chain_ends(W, a, b, c, batch, eta, config: TrainConfig, rng) -> np.ndarray:
     c is the leakiness, None for Bernoulli units (CD only).  CD holds c for
     cd_steps sweeps from the batch, the first from its responses ``eta`` =
     batch W + b; leaky-anneal (from len(batch) c = 1 draws) and mix (from
-    the batch) run ``sampler._anneal`` for cd_steps steps.
+    the batch) run ``sampler._anneal`` for cd_steps steps.  rng is a
+    Generator or an open ``_Draws`` of a ``_chain_plan``.
     """
     if config.neg_sampler is NegSampler.CD:
         return _run_chains(W, a, b, [(c, 1.0)] * config.cd_steps, batch, rng, eta).v
     start = len(batch) if config.neg_sampler is NegSampler.LEAKY_ANNEAL else batch
     return _anneal(W, a, b, c, config.cd_steps, start, rng).v
+
+
+def _chain_plan(config: TrainConfig, c, sizes, n_visible: int, n_hidden: int) -> list:
+    """The ``_Draws`` plan of ``_chain_ends`` on minibatches of these sizes, in turn."""
+    levels = [(c, 1.0)] * config.cd_steps  # annealed levels are leaky, and draw as these do
+    base = config.neg_sampler is NegSampler.LEAKY_ANNEAL
+    return [block for m in sizes for block in _chain_blocks(levels, m, n_visible, n_hidden, base)]
+
+
+class _Now:
+    """fn(*args), run at once, read as a ``concurrent.futures.Future`` is read."""
+
+    def __init__(self, fn, *args):
+        self._result = fn(*args)
+
+    def result(self):
+        return self._result
+
+
+@contextlib.contextmanager
+def _worker(dW_size: int):
+    """``submit(fn, *args)``, which runs fn on one worker thread when dW has more
+    than _CHUNK entries, and at once otherwise; the worker is joined on exit."""
+    if dW_size <= _CHUNK:  # too little work to pay for the handoff
+        yield _Now
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, as it loads logging
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit
 
 
 def initial_params(n_visible: int, n_hidden: int, rng, leakiness: float = 1.0,
@@ -222,8 +267,9 @@ def train(
     oracle).  Raises DimensionError for data of the wrong width,
     ValueError for data with no rows or an annealed sampler on Bernoulli
     units (before the first epoch), and TrainingDivergedError if
-    parameters go non-finite or an epoch's reconstruction error
-    overflows, the expected failures of unprojected training.
+    parameters go non-finite, a step takes sigma_max of W past
+    ``projection._FAR`` before the projection, or an epoch's
+    reconstruction error overflows.  No thread it starts outlives it.
     """
     data = _check_data(params0, data)
     _check_sampler(params0, config)
@@ -236,48 +282,62 @@ def train(
     vel_b = np.zeros_like(b)
     log = TrainingLog()
     n = data.shape[0]
-    for epoch in range(config.epochs):
-        # during the epoch W is the only copy of the weights, and the
-        # gradient buffers live until the reconstruction error, whose
-        # temporaries take their place: both lower the peak memory
-        del params
-        g_W, neg_dW = np.empty_like(W), np.empty_like(W)
-        order = rng.permutation(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for bi, start in enumerate(range(0, n, config.batch_size)):
-                batch = data[order[start : start + config.batch_size]]
-                eta = batch @ W
-                eta += b
-                pos_db = _statistics(batch, _hidden_mean(eta, c), out=g_W)[1]
-                v = _chain_ends(W, a, b, c, batch, eta, config, rng)
-                eta = v @ W
-                eta += b
-                neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)[1]
-                # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
-                # W = W + vel.  A zero weight decay or momentum skips its
-                # product, which could change only the sign of an exact zero.
-                g_W -= neg_dW
-                if config.weight_decay > 0:
-                    g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
-                g_W *= config.learning_rate
-                if vel_W is not None:
-                    vel_W *= config.momentum
-                    vel_W += g_W
-                vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
-                W += g_W if vel_W is None else vel_W
-                b = b + vel_b
-                if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                    raise TrainingDivergedError(epoch, bi)
-                if config.projection_enabled:
-                    W = _clip(W)[0]
-            del g_W, neg_dW
-            params = params0.with_(weights=W, hidden_bias=b)
-            # finite weights can still overflow the reconstruction
-            recon = reconstruction_error(params, data)
-        if not np.isfinite(recon):
-            raise TrainingDivergedError(epoch)
-        record = EpochRecord(epoch=epoch, recon_error=recon)
-        if loglik_fn is not None:
-            record.log_likelihood = float(loglik_fn(params))
-        log.epochs.append(record)
+    starts = range(0, n, config.batch_size)
+    plan = _chain_plan(config, c, [min(config.batch_size, n - start) for start in starts],
+                       *W.shape)
+    with _worker(W.size) as submit:
+        for epoch in range(config.epochs):
+            # during the epoch W is the only copy of the weights, and the
+            # gradient buffers live until the reconstruction error, whose
+            # temporaries take their place: both lower the peak memory
+            del params
+            g_W, neg_dW = np.empty_like(W), np.empty_like(W)
+            order = rng.permutation(n)
+            draws = _Draws(plan, rng)  # the epoch's chain draws, after its permutation
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    for bi, start in enumerate(starts):
+                        batch = data[order[start : start + config.batch_size]]
+                        eta = batch @ W
+                        eta += b
+                        pos = submit(_statistics, batch, _hidden_mean(eta, c), g_W)
+                        v = _chain_ends(W, a, b, c, batch, eta, config, draws)
+                        eta = v @ W
+                        eta += b
+                        neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)[1]
+                        pos_db = pos.result()[1]
+                        # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
+                        # W = W + vel.  A zero weight decay or momentum skips its
+                        # product, which could change only the sign of an exact zero.
+                        g_W -= neg_dW
+                        if config.weight_decay > 0:
+                            g_W -= np.multiply(W, config.weight_decay, out=neg_dW)
+                        g_W *= config.learning_rate
+                        if vel_W is not None:
+                            vel_W *= config.momentum
+                            vel_W += g_W
+                        vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
+                        W += g_W if vel_W is None else vel_W
+                        b = b + vel_b
+                        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                            raise TrainingDivergedError(epoch, bi)
+                        if config.projection_enabled:
+                            W, report = _clip(W)
+                            # the clip reads sigma_max anyway; this far out the step has
+                            # lost its digits, and the clip would hide the blow-up
+                            if report.clipped_count and report.max_singular_value_before > _FAR:
+                                raise TrainingDivergedError(
+                                    epoch, bi, report.max_singular_value_before)
+                finally:
+                    draws.close()
+                del g_W, neg_dW
+                params = params0.with_(weights=W, hidden_bias=b)
+                # finite weights can still overflow the reconstruction
+                recon = reconstruction_error(params, data)
+            if not np.isfinite(recon):
+                raise TrainingDivergedError(epoch)
+            record = EpochRecord(epoch=epoch, recon_error=recon)
+            if loglik_fn is not None:
+                record.log_likelihood = float(loglik_fn(params))
+            log.epochs.append(record)
     return params, log

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,18 @@ def random_orthogonal(
 @pytest.fixture
 def rng():
     return make_rng(1234)
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The threads started while the test runs, each with the name of its job."""
+    started, Thread = [], threading.Thread
+
+    class Spy(Thread):
+        def start(self):
+            self.job = self._target.__name__  # a finished thread forgets its target
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started

@@ -10,10 +10,14 @@ from leaky_rbm.experiments import (
     experiment_likelihood_compare,
     experiment_mixing,
     experiment_partition_bias,
+    mixing_task_data,
     random_orthogonal_params,
     synthetic_leaky_data,
+    train_mixing_method,
 )
+from leaky_rbm.errors import TrainingDivergedError
 from leaky_rbm.sampler import make_rng
+from leaky_rbm.training import NegSampler
 
 
 def _rows(path):
@@ -86,6 +90,16 @@ class TestMixingSchema:
         assert len(rows) == 6
         for r in rows:
             assert np.isfinite(float(r["loglik"]))
+
+
+class TestMixingDivergence:
+    @pytest.mark.parametrize("seed", [13, 35])
+    def test_a_blown_up_leaky_anneal_arm_raises(self, seed):
+        # a step takes sigma_max past 2^26 before the clip, to about 1e8 at
+        # both seeds; the clip used to hide it, and seed 35 went on to return
+        # a model with |b| 1e20.  At the seeds criterion 9 uses nothing clips
+        with pytest.raises(TrainingDivergedError, match="^weights blew up to sigma_max"):
+            train_mixing_method(seed, NegSampler.LEAKY_ANNEAL, mixing_task_data(seed))
 
 
 class TestDivergenceSchema:

@@ -552,20 +552,6 @@ def _serial_run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None):
     return sampler.ChainSet(v=v, h=h)
 
 
-@pytest.fixture
-def threads_started(monkeypatch):
-    """The threads started while the test runs."""
-    started, Thread = [], threading.Thread
-
-    class Spy(Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Spy)
-    return started
-
-
 class TestDrawsAhead:
     """A chain run whose draws fill more than one chunk makes them on one
     helper thread; its outputs, and the generator's state after it, are
@@ -610,7 +596,7 @@ class TestDrawsAhead:
         _assert_same_bits(chains.h, ref.h)
         self._check_next_draws(g, g_ref)
 
-    @pytest.mark.parametrize("n_chains", [300, 1000], ids=["2-levels-a-chunk", "1-level"])
+    @pytest.mark.parametrize("n_chains", [400, 1000], ids=["2-levels-a-chunk", "1-level"])
     def test_bernoulli_run_chains(self, threads_started, rng, n_chains):
         # uniforms then normals at every level: two rng calls a level
         W = random_safe_params(rng, 64, 16).weights

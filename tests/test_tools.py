@@ -36,7 +36,7 @@ def _with_tool(name, monkeypatch, run):
 def test_kernel_timings_runs_at_a_tiny_size(monkeypatch):
     def run(tool):
         monkeypatch.setattr(tool, "SAMPLE_S", 1e-4)
-        rows = tool._rows(n_visible=4, n_hidden=3, n=10, ais_levels=3, repeats=1)
+        rows = tool._rows(n_visible=4, n_hidden=3, n=10, ais_levels=5, repeats=1)
         return rows + list(tool._quadrature_rows(repeats=1))
 
     rows = _with_tool("kernel_timings", monkeypatch, run)
@@ -51,11 +51,12 @@ def test_output_digests_run_at_a_tiny_size(monkeypatch, tmp_path):
         for work in (tmp_path / "first", tmp_path / "second"):
             work.mkdir()
             rows.append(tool.estimate_z_digests(work, n_visible=16, particles=4, levels=2)
-                        + tool.cli_digests(work, n_rows=40, n_cols=4, hidden=2, epochs=1))
+                        + tool.cli_digests(work, n_rows=40, n_cols=4, hidden=2, epochs=1)
+                        + tool.threaded_train_digests(work, n_rows=20, n_cols=4, hidden=3))
         return rows
 
     first, second = _with_tool("output_digests", monkeypatch, run)
-    # 2 models x 3 seeds x 3 paths, 4 trained models and one sample CSV
-    assert len(first) == 18 + 5 == len({name for name, _digest in first})
+    # 2 models x 3 seeds x 3 paths, 4 trained models and one sample CSV, one wide model
+    assert len(first) == 18 + 5 + 1 == len({name for name, _digest in first})
     assert all(len(digest) == 64 for _name, digest in first)
     assert first == second  # the digests do not depend on the working directory

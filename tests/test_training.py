@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +14,10 @@ from leaky_rbm import (
     TrainingDivergedError,
     train,
 )
+from leaky_rbm.experiments import mixing_task_data, train_mixing_method
 from leaky_rbm.model import log_unnorm_marginal, visible_conditional
 from leaky_rbm.partition import quadrature_log_z
-from leaky_rbm.projection import is_globally_safe, project_spectral
+from leaky_rbm.projection import _FAR, is_globally_safe, project_spectral
 from leaky_rbm.sampler import anneal_leakiness_sample, gibbs_step, make_rng, mix_sample
 from leaky_rbm.training import (
     EpochRecord,
@@ -345,6 +348,70 @@ class TestTrain:
             assert np.array_equal(mix.hidden_bias, cd.hidden_bias) is same
 
 
+class TestTrainThreads:
+    """The helper thread and the worker that ``train`` starts end with it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("config", [
+        TrainConfig(cd_steps=2, neg_sampler=NegSampler.LEAKY_ANNEAL, batch_size=100, seed=3),
+        TrainConfig(learning_rate=1e150, projection_enabled=False, batch_size=100),
+    ], ids=["blown-up", "non-finite"])
+    def test_a_divergence_mid_epoch_joins_them(self, rng, threads_started, config):
+        W = random_safe_params(rng, 300, 250, max_norm=0.99).weights
+        p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, 250), leakiness=0.1)
+        data = rng.standard_normal((500, 300)) * 3.0
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(p0, data, config)
+        assert 0 < exc.value.batch_index < 4  # mid-epoch, with draws made ahead
+        assert (exc.value.max_singular_value is None) is (not config.projection_enabled)
+        # one helper per epoch begun, and one worker
+        assert sorted(t.job for t in threads_started) == (
+            ["_draw_ahead"] * (exc.value.epoch + 1) + ["_worker"])
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in threads_started)
+
+    def test_concurrent_runs_under_fast_switching(self, rng):
+        # three runs at once, each with its helper and its worker, on two
+        # cores, switching threads every microsecond: positive statistics
+        # read before the worker wrote them, or a draw buffer refilled while
+        # in use, would change the bits
+        W = random_safe_params(rng, 300, 250, max_norm=0.99).weights
+        p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, 250), leakiness=0.1)
+        data = rng.standard_normal((300, 300)) * 3.0
+        configs = [TrainConfig(epochs=1, batch_size=128, seed=k) for k in range(3)]
+        refs = [train(p0, data, config)[0].weights for config in configs]
+        out = [None] * 3
+
+        def run(k):
+            out[k] = train(p0, data, configs[k])[0].weights
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        for W_k, W_ref in zip(out, refs):
+            np.testing.assert_array_equal(W_k, W_ref)
+
+    @pytest.mark.parametrize("method", list(NegSampler))
+    def test_the_mixing_task_starts_none(self, monkeypatch, method):
+        # at 2 x 2 an epoch's draws fit in one chunk and dW in far less
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a 2 x 2 training run started a thread")
+
+        data = mixing_task_data(0)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        _params, log = train_mixing_method(0, method, data, epochs=2)
+        assert len(log.epochs) == 2
+
+
 class TestInitialParams:
     @pytest.mark.parametrize("shape", [(2, 2), (16, 8)])
     def test_feasible_draw_is_kept_bit_for_bit(self, shape):
@@ -402,7 +469,8 @@ def _reference_train(params0, data, config, loglik_fn=None):
 
     Its epoch records take the reconstruction error from the one-shot
     formula, which ``reconstruction_error`` matches bit for bit up to 1024
-    rows.
+    rows.  A step that the projection finds past sigma_max _FAR raises
+    TrainingDivergedError, as in ``train``.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     rng = make_rng(config.seed)
@@ -412,7 +480,7 @@ def _reference_train(params0, data, config, loglik_fn=None):
     records = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(data))
-        for start in range(0, len(data), config.batch_size):
+        for bi, start in enumerate(range(0, len(data), config.batch_size)):
             batch = data[order[start : start + config.batch_size]]
             pos = positive_phase(params, batch)
             neg = negative_phase(params, batch, config, rng)
@@ -422,7 +490,9 @@ def _reference_train(params0, data, config, loglik_fn=None):
             vel_b = config.momentum * vel_b + config.learning_rate * g_b
             new_W = params.weights + vel_W
             if config.projection_enabled:
-                new_W = project_spectral(new_W)[0]
+                new_W, report = project_spectral(new_W)
+                if report.clipped_count and report.max_singular_value_before > _FAR:
+                    raise TrainingDivergedError(epoch, bi, report.max_singular_value_before)
             params = params.with_(weights=new_W, hidden_bias=params.hidden_bias + vel_b)
         recon = float(np.mean((data - visible_conditional(params, expected_hidden(params, data))) ** 2))
         record = EpochRecord(epoch=epoch, recon_error=recon)
@@ -437,7 +507,15 @@ class TestTrainReference:
 
     @staticmethod
     def _check(params0, data, config, loglik_fn=None):
-        got, log = train(params0, data, config, loglik_fn=loglik_fn)
+        try:
+            got, log = train(params0, data, config, loglik_fn=loglik_fn)
+        except TrainingDivergedError as exc:
+            # the same step diverges, with sigma_max of the same bits
+            with pytest.raises(TrainingDivergedError) as want:
+                _reference_train(params0, data, config, loglik_fn=loglik_fn)
+            assert (exc.epoch, exc.batch_index, exc.max_singular_value) == (
+                want.value.epoch, want.value.batch_index, want.value.max_singular_value)
+            return None
         want, records = _reference_train(params0, data, config, loglik_fn=loglik_fn)
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.hidden_bias, want.hidden_bias)
@@ -484,6 +562,36 @@ class TestTrainReference:
                               hidden_kind=kind)
         data = rng.standard_normal((130 if n_visible < 10 else 250, n_visible)) * 3.0
         self._check(p0, data, config)
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            (HiddenKind.LEAKY_RELU, TrainConfig(
+                learning_rate=0.01, momentum=0.5, weight_decay=1e-3, epochs=2, batch_size=128,
+                seed=9)),
+            (HiddenKind.LEAKY_RELU, TrainConfig(
+                cd_steps=2, learning_rate=0.001, neg_sampler=NegSampler.LEAKY_ANNEAL, epochs=2,
+                batch_size=128, seed=10)),
+            (HiddenKind.LEAKY_RELU, TrainConfig(
+                cd_steps=2, learning_rate=0.01, momentum=0.5, neg_sampler=NegSampler.MIX,
+                epochs=2, batch_size=128, seed=11)),
+            (HiddenKind.BERNOULLI, TrainConfig(
+                cd_steps=2, learning_rate=0.01, momentum=0.5, epochs=2, batch_size=128, seed=12)),
+        ],
+        ids=["cd", "leaky-anneal", "mix", "bernoulli-cd"],
+    )
+    def test_bit_identical_with_the_helper_and_the_worker(self, rng, threads_started, kind,
+                                                          config):
+        # at 300 x 250 dW has more than one chunk of entries and an epoch's
+        # draws fill several chunks; 300 rows leave a short last batch
+        W = random_safe_params(rng, 300, 250, max_norm=0.99).weights
+        p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, 250),
+                              leakiness=0.1 if kind is HiddenKind.LEAKY_RELU else 1.0,
+                              hidden_kind=kind)
+        data = rng.standard_normal((300, 300)) * 3.0
+        self._check(p0, data, config)
+        # train's threads, started before the reference's: a helper per epoch and one worker
+        assert [t.job for t in threads_started[:3]] == ["_draw_ahead", "_worker", "_draw_ahead"]
 
     def test_loglik_fn(self, rng):
         p0 = random_safe_params(rng, 3, 3, max_norm=0.99)

@@ -14,7 +14,11 @@ aim 2's same-bits rule covers:
   paths, at AIS seed 11 with 1000 particles and 100 levels;
 * the model files that CLI ``train`` writes with each negative sampler
   (cd, leaky-anneal, mix) and with Bernoulli units, and the CSV of one
-  ``sample`` run, all on one fixed synthetic CSV.
+  ``sample`` run, all on one fixed synthetic CSV;
+* the model file of one mix ``train`` run at 300 x 250, where an
+  epoch's draws fill several chunks and dW is larger than one, so the
+  draws come from the helper thread and the positive statistics from the
+  worker (``training.train``).
 
 ``tests/test_tools.py`` runs all but the experiments at a tiny size.  BLAS
 runs on one thread unless the environment says otherwise, as in
@@ -38,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402  (after the thread settings)
 
 from leaky_rbm import cli  # noqa: E402
-from leaky_rbm.data_io import save_model  # noqa: E402
+from leaky_rbm.data_io import save_model, write_raw_f32  # noqa: E402
 from leaky_rbm.experiments import EXPERIMENTS, random_orthogonal_params  # noqa: E402
 
 AIS_SEED = 11
@@ -115,11 +119,27 @@ def cli_digests(work: Path, n_rows: int = 300, n_cols: int = 12, hidden: int = 6
     return rows
 
 
+def threaded_train_digests(work: Path, n_rows: int = 300, n_cols: int = 300,
+                           hidden: int = 250) -> list[tuple[str, str]]:
+    """(output, sha256) of the model of one mix ``train`` run at n_cols x hidden."""
+    g = np.random.default_rng(1)
+    x = g.standard_normal((n_rows, 5)) @ g.standard_normal((5, n_cols))
+    x += g.standard_normal((n_rows, n_cols))
+    data = work / "train.f32"
+    write_raw_f32(data, x)
+    model = work / "threaded.rbm"
+    _cli("--seed", TRAIN_SEED, "--out", work, "train", "--data", data, "--hidden", hidden,
+         "--epochs", 2, "--batch-size", 128, "--neg-sampler", "mix", "--cd-steps", 2,
+         "--model-out", model)
+    return [(f"train mix {n_cols}x{hidden} model", _sha256(model))]
+
+
 def main(argv=None) -> None:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for step in (experiment_digests, estimate_z_digests, cli_digests):
+        for step in (experiment_digests, estimate_z_digests, cli_digests,
+                     threaded_train_digests):
             (work / step.__name__).mkdir()
             for name, digest in step(work / step.__name__):
                 print(f"{digest}  {name}", flush=True)
