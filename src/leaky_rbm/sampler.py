@@ -12,18 +12,18 @@ caller-supplied numpy Generator (or a seed), which makes every sampler
 deterministic given its inputs.
 
 A ``_run_chains`` run whose draws fill more than one chunk (``_Draws``)
-makes them on one helper thread, a few chunks ahead of the sweeps, while
-the main thread does the arithmetic and leaves the generator alone.  The
-helper makes the generator calls the sweeps would make, in their order,
-so every output keeps its bits and the generator ends in the same state.
-Training plans a whole epoch's draws in one ``_Draws`` and passes it to
-each minibatch's chains in place of the generator.  BLAS threading is
-left as the environment sets it.
+makes them on the one worker of a ``concurrent.futures`` executor, a few
+chunks ahead of the sweeps, while the main thread does the arithmetic and
+leaves the generator alone.  The worker makes the generator calls the
+sweeps would make, in their order, so every output keeps its bits and the
+generator ends in the same state.  Training plans a whole epoch's draws in
+one ``_Draws`` on the executor it keeps for the run, and passes it to each
+minibatch's chains in place of the generator.  BLAS threading is left as
+the environment sets it.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,9 +231,9 @@ def _run_chains(W, a, b, levels, v, rng, eta=None, W_t=None, score=None) -> Chai
     ``W_t`` is W^T in any layout, by default the view W.T; and ``score(v, eta, c, s)``
     runs before each sweep.  v and eta are not written; no levels give h = 0.  Given
     a Generator, the sweeps draw through a ``_Draws`` of their own, which leaves rng
-    as drawing from it directly would; its helper thread, if any, is joined before
-    this returns or raises.  Given an open ``_Draws``, they draw from it, and its
-    owner closes it.
+    as drawing from it directly would; its worker, if any, is joined before this
+    returns or raises.  Given an open ``_Draws``, they draw from it, and its owner
+    closes it.
     """
     W_t = W.T if W_t is None else W_t
     h = None if levels else np.zeros((v.shape[0], W.shape[1]))
@@ -283,12 +283,14 @@ class _Draws:
     current one past _CHUNK doubles and that one already holds more than the
     block; so a level whose draws exceed _CHUNK stays in one chunk.  A plan
     that fits in one chunk draws it at the first ask and starts no thread.  A
-    longer one draws on one helper thread, up to _RING chunks ahead of its
-    users; the caller leaves rng alone until ``close`` has joined it.  After an
-    exception, rng may have drawn past the block that raised.
+    longer one fills its chunks as futures on ``pool``, a one-worker
+    ``ThreadPoolExecutor`` (one of its own when none is given), up to _RING
+    chunks ahead of their users; one worker runs them in plan order.  The
+    caller leaves rng alone until ``close``.  After an exception, rng may
+    have drawn past the block that raised.
     """
 
-    def __init__(self, plan, rng):
+    def __init__(self, plan, rng, pool=None):
         # per chunk, its rng calls (kind, start, stop) and its blocks (start, rows, cols)
         self._chunks, calls, blocks, used = [], [], [], 0
         for kind, rows, cols in plan:
@@ -307,15 +309,13 @@ class _Draws:
         largest = max((calls[-1][2] for calls, _blocks in self._chunks), default=0)
         self._bufs = [np.empty(largest) for _ in range(min(len(self._chunks), _RING))]
         self._rng = rng
-        self._blocks = self._hand_out()
-        self._thread = None
+        self._own = self._fills = None
         if len(self._chunks) > 1:
-            self._free = threading.Semaphore(len(self._bufs))
-            self._filled = threading.Semaphore(0)
-            self._stop, self._error = False, None
-            # a daemon, so that a join cut short by an interrupt cannot hold up exit
-            self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
-            self._thread.start()
+            if pool is None:
+                pool = self._own = _helper()
+            self._pool = pool
+            self._fills = [pool.submit(self._fill, k) for k in range(len(self._bufs))]
+        self._blocks = self._hand_out()
 
     def _fill(self, k: int) -> None:
         """Draw chunk k into its ring buffer."""
@@ -323,33 +323,20 @@ class _Draws:
         for kind, start, stop in self._chunks[k][0]:
             getattr(self._rng, kind)(out=flat[start:stop])
 
-    def _draw_ahead(self) -> None:
-        """The helper thread: fill the chunks in order, each once its buffer is free."""
-        try:
-            for k in range(len(self._chunks)):
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._fill(k)
-                self._filled.release()
-        except BaseException as exc:  # raised in the main thread at its next chunk
-            self._error = exc
-            self._filled.release()
-
     def _hand_out(self):
         """The blocks, in the order of the plan."""
+        ahead = len(self._bufs)
         for k, (_calls, blocks) in enumerate(self._chunks):
-            if self._thread is None:
+            if self._fills is None:
                 self._fill(k)
             else:
-                self._filled.acquire()
-                if self._error is not None:
-                    raise self._error
-            flat = self._bufs[k % len(self._bufs)]
+                self._fills[k].result()  # raises what the fill raised
+            flat = self._bufs[k % ahead]
             for start, rows, cols in blocks:
                 yield flat[start:start + rows * cols].reshape(rows, cols)
-            if self._thread is not None:  # its users are done with this chunk
-                self._free.release()
+            if self._fills is not None and k + ahead < len(self._chunks):
+                # its users are done with this chunk's buffer
+                self._fills.append(self._pool.submit(self._fill, k + ahead))
 
     def standard_normal(self, shape) -> np.ndarray:
         return next(self._blocks)
@@ -357,10 +344,21 @@ class _Draws:
     random = standard_normal
 
     def close(self) -> None:
-        """Stop and join the helper thread, if any, and let the buffers go."""
+        """Cancel the pending fills, wait for the running one, and let the buffers go.
+
+        A pool of its own is shut down; a given one is left idle.
+        """
         self._blocks = None  # the generator refers back to self: a cycle the GC would free late
-        if self._thread is not None:
-            self._stop = True
-            self._free.release()  # wakes a helper that waits for a buffer
-            self._thread.join()
-        self._bufs = None  # now, though the owner may keep self a while
+        for fill in self._fills or ():
+            if not fill.cancel():
+                fill.exception()  # waits for it to finish
+        if self._own is not None:
+            self._own.shutdown()
+        self._bufs = self._fills = None  # now, though the owner may keep self a while
+
+
+def _helper():
+    """A one-worker ``ThreadPoolExecutor``, whose thread starts at its first submit."""
+    from concurrent.futures import ThreadPoolExecutor  # here, as it loads logging
+
+    return ThreadPoolExecutor(max_workers=1)

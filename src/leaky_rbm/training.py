@@ -25,19 +25,19 @@ diverged too: the clip would hide it, and it reads that sigma_max anyway.
 ``positive_phase`` and ``negative_phase`` run the same helpers, with every sampler.
 
 Threads: the main thread runs the minibatch's response pass, its negative
-phase, the update and the projection.  Two others may work beside it,
-and both are joined before ``train`` returns or raises.  The epoch's
-Gibbs noise, planned minibatch by minibatch after the epoch's
-permutation, is drawn ahead on the helper thread of ``sampler._Draws``
-once it fills more than one chunk.  When dW has more than ``_CHUNK``
-entries, one worker computes the positive statistics batch^T h / n
-while the main thread runs the negative phase; the main thread reads
-them only after the negative statistics, so the update keeps its order
-and its bits.  BLAS threading is left as the environment sets it.
+phase, the update and the projection.  One helper thread, the worker of
+an executor that ``train`` keeps for the run, may work beside it, and is
+joined before ``train`` returns or raises.  It draws the epoch's Gibbs
+noise, planned minibatch by minibatch after the epoch's permutation,
+ahead of the sweeps (``sampler._Draws``) once it fills more than one
+chunk.  When dW has more than ``_CHUNK`` entries, it also computes the
+positive statistics batch^T h / n while the main thread runs the
+negative phase; the main thread reads them only after the negative
+statistics, so the update keeps its order and its bits.  BLAS threading
+is left as the environment sets it.
 """
 from __future__ import annotations
 
-import contextlib
 import enum
 import hashlib
 import json
@@ -49,7 +49,7 @@ from .errors import TrainingDivergedError
 from .model import (HiddenKind, RbmParams, _check_data, _require_kind, _unit_leakiness,
                     branch_slopes, response, sigmoid)
 from .projection import _FAR, _clip
-from .sampler import _CHUNK, _Draws, _anneal, _as_rng, _chain_blocks, _run_chains
+from .sampler import _CHUNK, _Draws, _anneal, _as_rng, _chain_blocks, _helper, _run_chains
 
 
 class NegSampler(enum.Enum):
@@ -206,19 +206,6 @@ class _Now:
         return self._result
 
 
-@contextlib.contextmanager
-def _worker(dW_size: int):
-    """``submit(fn, *args)``, which runs fn on one worker thread when dW has more
-    than _CHUNK entries, and at once otherwise; the worker is joined on exit."""
-    if dW_size <= _CHUNK:  # too little work to pay for the handoff
-        yield _Now
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, as it loads logging
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield pool.submit
-
-
 def initial_params(n_visible: int, n_hidden: int, rng, leakiness: float = 1.0,
                    hidden_kind: HiddenKind = HiddenKind.LEAKY_RELU) -> RbmParams:
     """A training start: W ~ U(0, 0.01), singular values clipped at 1, and zero biases.
@@ -285,7 +272,9 @@ def train(
     starts = range(0, n, config.batch_size)
     plan = _chain_plan(config, c, [min(config.batch_size, n - start) for start in starts],
                        *W.shape)
-    with _worker(W.size) as submit:
+    with _helper() as pool:  # its thread starts at the first submit
+        # too little work in dW's product to pay for the handoff
+        submit = pool.submit if W.size > _CHUNK else _Now
         for epoch in range(config.epochs):
             # during the epoch W is the only copy of the weights, and the
             # gradient buffers live until the reconstruction error, whose
@@ -293,7 +282,7 @@ def train(
             del params
             g_W, neg_dW = np.empty_like(W), np.empty_like(W)
             order = rng.permutation(n)
-            draws = _Draws(plan, rng)  # the epoch's chain draws, after its permutation
+            draws = _Draws(plan, rng, pool)  # the epoch's chain draws, after its permutation
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     for bi, start in enumerate(starts):

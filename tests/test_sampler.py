@@ -2,7 +2,9 @@ import gc
 import math
 import sys
 import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -669,6 +671,39 @@ class TestDrawsAhead:
         assert not any(runner.is_alive() for runner in runners)
         for v, v_ref in zip(out, refs):
             _assert_same_bits(v, v_ref)
+
+    def test_close_mid_plan_on_a_given_pool(self):
+        # ten chunks of two (1000, 64) blocks, each normal call slowed so
+        # that close finds fills queued and, most likely, one running
+        class Slow:
+            def __init__(self, g):
+                self.g, self.states = g, []
+
+            def standard_normal(self, out):
+                time.sleep(0.005)
+                self.g.standard_normal(out=out)
+                self.states.append(self.g.bit_generator.state)
+
+        plan = [("standard_normal", 1000, 64)] * 20
+        slow, ref = Slow(make_rng(18)), make_rng(18)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            draws = sampler._Draws(plan, slow, pool)
+            _assert_same_bits(draws.standard_normal((1000, 64)), ref.standard_normal((1000, 64)))
+            draws.close()
+            filled, state = len(slow.states), slow.g.bit_generator.state
+            # the worker takes tasks in order, so it has passed every fill
+            # that close left queued once it runs this one
+            assert pool.submit(lambda: 7).result() == 7
+            assert len(slow.states) == filled and slow.g.bit_generator.state == state
+            assert 1 <= filled <= sampler._RING  # no chunk past the first was handed out
+            # whole chunks, drawn in plan order
+            ref.standard_normal(2 * filled * 1000 * 64 - 1000 * 64)
+            assert state == ref.bit_generator.state
+            # the pool is idle and still takes work
+            again = sampler._Draws(plan, make_rng(19), pool)
+            _assert_same_bits(np.concatenate([again.standard_normal(None).copy() for _ in plan]),
+                              make_rng(19).standard_normal((20 * 1000, 64)))
+            again.close()
 
     @pytest.mark.parametrize("n_levels", [1, 20], ids=["inline", "threaded"])
     def test_draws_are_freed_on_return(self, monkeypatch, rng, n_levels):

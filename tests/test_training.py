@@ -349,7 +349,7 @@ class TestTrain:
 
 
 class TestTrainThreads:
-    """The helper thread and the worker that ``train`` starts end with it."""
+    """The one helper thread that ``train`` starts ends with it."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("config", [
@@ -365,16 +365,27 @@ class TestTrainThreads:
             train(p0, data, config)
         assert 0 < exc.value.batch_index < 4  # mid-epoch, with draws made ahead
         assert (exc.value.max_singular_value is None) is (not config.projection_enabled)
-        # one helper per epoch begun, and one worker
-        assert sorted(t.job for t in threads_started) == (
-            ["_draw_ahead"] * (exc.value.epoch + 1) + ["_worker"])
+        # one helper for the whole run, the executor's worker
+        assert [t.job for t in threads_started] == ["_worker"]
         assert threading.active_count() == before
         assert not any(t.is_alive() for t in threads_started)
 
+    def test_a_run_starts_one_thread(self, rng, threads_started):
+        # each epoch's draws fill three chunks and dW has more than one chunk
+        # of entries, so all three epochs' draws and statistics run on it
+        W = random_safe_params(rng, 300, 250, max_norm=0.99).weights
+        p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, 250), leakiness=0.1)
+        data = rng.standard_normal((300, 300))
+        before = threading.active_count()
+        _params, log = train(p0, data, TrainConfig(epochs=3, batch_size=128, seed=5))
+        assert len(log.epochs) == 3
+        assert [t.job for t in threads_started] == ["_worker"]
+        assert threading.active_count() == before and not threads_started[0].is_alive()
+
     def test_concurrent_runs_under_fast_switching(self, rng):
-        # three runs at once, each with its helper and its worker, on two
+        # three runs at once, each with its helper, on two
         # cores, switching threads every microsecond: positive statistics
-        # read before the worker wrote them, or a draw buffer refilled while
+        # read before the helper wrote them, or a draw buffer refilled while
         # in use, would change the bits
         W = random_safe_params(rng, 300, 250, max_norm=0.99).weights
         p0 = RbmParams.create(W, hidden_bias=rng.uniform(-0.5, 0.5, 250), leakiness=0.1)
@@ -590,8 +601,8 @@ class TestTrainReference:
                               hidden_kind=kind)
         data = rng.standard_normal((300, 300)) * 3.0
         self._check(p0, data, config)
-        # train's threads, started before the reference's: a helper per epoch and one worker
-        assert [t.job for t in threads_started[:3]] == ["_draw_ahead", "_worker", "_draw_ahead"]
+        # train's one helper, started before the reference's threads, if any
+        assert [t.job for t in threads_started[:1]] == ["_worker"]
 
     def test_loglik_fn(self, rng):
         p0 = random_safe_params(rng, 3, 3, max_norm=0.99)
