@@ -67,6 +67,7 @@ from .errors import (
     LeakyRbmError,
     ModelFileError,
     NonPDRegionError,
+    PrecisionLossError,
     TrainingDivergedError,
 )
 

@@ -6,7 +6,8 @@ its values exactly like flags; explicit command-line flags win over the
 file.  Exit codes, all decided in ``main``: 0 success; 1 a usage or file
 error, any input the package rejects with a ValueError and any count too
 large to allocate among them, with one ``error:`` line; 2 a numerical
-failure (divergent or overflowing training, a non-PD constraint, a failed LAPACK routine).
+failure (divergent or overflowing training, a non-PD constraint, a failed LAPACK routine,
+a log-likelihood too large to keep its digits).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .errors import (
     DivergentIntegralError,
     LeakyRbmError,
     NonPDRegionError,
+    PrecisionLossError,
     TrainingDivergedError,
 )
 from .experiments import EXPERIMENTS
@@ -310,7 +312,8 @@ def main(argv=None) -> int:
         return args.run(args)
     # LinAlgError subclasses ValueError, so the numerical row comes first
     except (
-        NonPDRegionError, DivergentIntegralError, TrainingDivergedError, np.linalg.LinAlgError
+        NonPDRegionError, DivergentIntegralError, PrecisionLossError, TrainingDivergedError,
+        np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,10 @@ class DivergentIntegralError(LeakyRbmError):
     """The unnormalized marginal has infinite mass (unsafe weights)."""
 
 
+class PrecisionLossError(LeakyRbmError):
+    """A difference of two large floating-point terms has lost its digits."""
+
+
 class TrainingDivergedError(LeakyRbmError):
     """Parameters became non-finite during training, or blew up to
     ``max_singular_value`` before the projection, or the epoch's

@@ -158,7 +158,12 @@ def train_mixing_method(
 
 
 def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
-    """Per-epoch oracle log-likelihood for the three negative-phase samplers."""
+    """Per-epoch oracle log-likelihood for the three negative-phase samplers.
+
+    Every arm trains.  An arm whose training diverges is dropped from the
+    CSV and named on stderr, and once the CSV holds the arms that finished,
+    the first divergence is raised.
+    """
     t0 = time.perf_counter()
     data = mixing_task_data(seed)
 
@@ -167,15 +172,23 @@ def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
             params, data, quadrature_log_z(params, tolerance=1e-7)
         )
 
-    rows = []
+    rows, dropped = [], []
     for method in (NegSampler.CD, NegSampler.LEAKY_ANNEAL, NegSampler.MIX):
-        _final, log = train_mixing_method(
-            seed, method, data, epochs=epochs, loglik_fn=oracle_loglik
-        )
+        try:
+            _final, log = train_mixing_method(
+                seed, method, data, epochs=epochs, loglik_fn=oracle_loglik
+            )
+        except TrainingDivergedError as exc:
+            dropped.append((method, exc))
+            continue
         for rec in log.epochs:
             rows.append([rec.epoch, method.value, rec.log_likelihood, 0.0])
-    return _finish("mixing", t0, Path(out_dir) / "mixing.csv",
-                   ["epoch", "method", "loglik", "stderr"], rows)
+    note = "".join(f" (dropped {method.value}: {exc})" for method, exc in dropped)
+    path = _finish("mixing", t0, Path(out_dir) / "mixing.csv",
+                   ["epoch", "method", "loglik", "stderr"], rows, note)
+    if dropped:
+        raise dropped[0][1]
+    return path
 
 
 def experiment_divergence(out_dir, seed: int) -> Path:

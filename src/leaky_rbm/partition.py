@@ -17,9 +17,9 @@ three interpolation schemes between the tractable base and the target:
 
 AIS runs levels 1 to L - 1 on ``sampler._run_chains``: a level's sweep and
 log-weight increment log f_k(v) - log f_{k-1}(v) share one pass
-eta = v W_k + b_k.  With many particles the chain's draws are made on one
-helper thread ahead of the sweeps, with the same bits, and BLAS threading
-is untouched (see ``sampler``).  Level L is scored on the particles that come back and
+eta = v W_k + b_k.  With many particles the chain's draws are made ahead
+of the sweeps on the one worker of an executor that the run starts and
+joins, with the same bits, and BLAS threading is untouched (see ``sampler``).  Level L is scored on the particles that come back and
 swept by nothing, as no weight reads its sweep.  After level 1,
 the increment is (c_k - c_{k-1}) sum min(eta, 0)^2 / 2 on leakiness paths.
 On the energy path level k - 1 sees r eta, r = s_{k-1} / s_k, so leaky units
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergentIntegralError, NonPDRegionError
+from .errors import DimensionError, DivergentIntegralError, NonPDRegionError, PrecisionLossError
 from .model import (
     HiddenKind,
     RbmParams,
@@ -385,10 +385,17 @@ def _logsumexp(x: np.ndarray) -> float:
 def eval_mean_log_likelihood(params: RbmParams, data, log_z: float) -> float:
     """Mean log-likelihood of data rows given a log partition value.
 
-    Raises DimensionError for rows of the wrong width and ValueError for
-    no rows or a non-finite log_z.
+    Raises DimensionError for rows of the wrong width, ValueError for no
+    rows or a non-finite log_z, and PrecisionLossError when the mean log f
+    or log_z is so large that the rounding of their difference, 2^-52 of
+    the larger, exceeds 1e-3 nats.
     """
     if not math.isfinite(log_z):
         raise ValueError("log_z must be finite")
     lp = _log_marginal(params, data, params.weights, params.hidden_bias, _unit_leakiness(params))
-    return float(np.mean(lp) - log_z)
+    mean_lp = float(np.mean(lp))
+    if not max(abs(mean_lp), abs(log_z)) * 2.0**-52 <= 1e-3:  # negated so that NaN fails it
+        raise PrecisionLossError(
+            f"mean log-likelihood has lost its digits: mean log f {mean_lp:.3g} "
+            f"minus log Z {log_z:.3g} is exact to no better than 1e-3 nats")
+    return mean_lp - log_z

@@ -78,6 +78,18 @@ class TestExitCodes:
         assert rc == 1
         assert len(err.splitlines()) == 1 and "wide.csv" in err, err
 
+    def test_eval_ll_with_no_digits_left_is_exit_2(self, tmp_path, rng, capsys):
+        # W = 0 and |b| ~ 1e112: log f and log Z are both about 4.5e224, so
+        # their difference keeps none of its digits
+        model = tmp_path / "m.rbm"
+        save_model(model, RbmParams.create(np.zeros((2, 2)),
+                                           hidden_bias=np.array([3e112, -2e112]), leakiness=0.01))
+        data = _write_data(tmp_path / "d.csv", rng, n=50, cols=2)
+        rc = main(["eval-ll", "--model", str(model), "--data", str(data), "--log-z", "4.52e224"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "lost its digits" in captured.err
+
     @pytest.mark.parametrize("command", ["train", "eval-ll"])
     def test_non_finite_data_is_file_error(self, tmp_path, rng, capsys, command):
         model = tmp_path / "m.rbm"

@@ -102,6 +102,18 @@ class TestMixingDivergence:
             train_mixing_method(seed, NegSampler.LEAKY_ANNEAL, mixing_task_data(seed))
 
 
+    def test_the_arms_that_finish_are_written(self, tmp_path, capsys):
+        # at seed 13 the leaky-anneal arm diverges at epoch 3, batch 6
+        with pytest.raises(TrainingDivergedError) as exc:
+            experiment_mixing(tmp_path, seed=13, epochs=4)
+        assert (exc.value.epoch, exc.value.batch_index) == (3, 6)
+        rows = _rows(tmp_path / "mixing.csv")
+        assert [(r["method"], r["epoch"]) for r in rows] == [
+            (method, str(epoch)) for method in ("cd", "mix") for epoch in range(4)]
+        assert all(np.isfinite(float(r["loglik"])) for r in rows)
+        assert f"(dropped leaky-anneal: {exc.value})" in capsys.readouterr().err
+
+
 class TestDivergenceSchema:
     def test_projected_bounded_unprojected_explodes(self, tmp_path):
         out = experiment_divergence(tmp_path, seed=0)

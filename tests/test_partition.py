@@ -10,6 +10,7 @@ from leaky_rbm import (
     DivergentIntegralError,
     HiddenKind,
     NonPDRegionError,
+    PrecisionLossError,
     RbmParams,
     ais_estimate,
     eval_mean_log_likelihood,
@@ -813,6 +814,29 @@ class TestEvalMeanLogLikelihood:
         p = random_safe_params(rng, 2, 2)
         with pytest.raises(ValueError):
             eval_mean_log_likelihood(p, np.zeros((1, 2)), float("nan"))
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_refuses_a_difference_with_no_digits_left(self):
+        # with W = 0 the sum of alpha b^2 / 2 in log f and in log Z cancels,
+        # but each is about 4.5e224: the difference used to read 8.2e208 where the
+        # exact value is -2.84
+        p = RbmParams.create(np.zeros((2, 2)), hidden_bias=np.array([3e112, -2e112]),
+                             leakiness=0.01)
+        data = np.random.default_rng(0).standard_normal((1000, 2))
+        with pytest.raises(PrecisionLossError, match="lost its digits"):
+            eval_mean_log_likelihood(p, data, quadrature_log_z(p, 1e-7))
+        assert not issubclass(PrecisionLossError, ValueError)
+
+    @pytest.mark.parametrize("log_z, kept", [(2.0**42, True), (2.0**43, False)])
+    def test_refuses_past_1e_3_nats_of_rounding(self, rng, log_z, kept):
+        # 2^-52 of 2^42 is 9.8e-4 nats, of 2^43 2.0e-3
+        p = random_safe_params(rng, 2, 2)
+        data = rng.standard_normal((10, 2))
+        if kept:
+            assert eval_mean_log_likelihood(p, data, log_z) < -2.0**41
+        else:
+            with pytest.raises(PrecisionLossError):
+                eval_mean_log_likelihood(p, data, log_z)
 
 
 class TestLogSumExp:

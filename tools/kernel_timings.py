@@ -15,8 +15,8 @@ the mean time of one call, where a sample runs enough calls to last about
 of an estimate with 3 levels, over L - 3, so it includes the level's
 response pass, its log-weight increment and its Gibbs sweep, and leaves
 out the base draw.  At both sizes a level's draws fill a chunk, so both
-estimates make theirs on a helper thread and the cost of starting it
-cancels.  Beside it, "AIS level draws" times only the two
+estimates make theirs on the one worker of an executor of their own, and
+the cost of making the executor and starting its thread cancels.  Beside it, "AIS level draws" times only the two
 normal blocks that a leaky level's sweep draws on the span model of W,
 (n, J) hidden and (n, min(I, J)) visible: the floor of a level, made on
 a helper thread when a chain runs many levels.  BLAS runs on one thread

@@ -17,8 +17,8 @@ aim 2's same-bits rule covers:
   ``sample`` run, all on one fixed synthetic CSV;
 * the model file of one mix ``train`` run at 300 x 250, where an
   epoch's draws fill several chunks and dW is larger than one, so the
-  draws come from the helper thread and the positive statistics from the
-  worker (``training.train``).
+  draws and the positive statistics both come from ``train``'s one
+  helper thread (``training.train``).
 
 ``tests/test_tools.py`` runs all but the experiments at a tiny size.  BLAS
 runs on one thread unless the environment says otherwise, as in
