@@ -19,7 +19,8 @@ AIS runs levels 1 to L - 1 on ``sampler._run_chains``: a level's sweep and
 log-weight increment log f_k(v) - log f_{k-1}(v) share one pass
 eta = v W_k + b_k.  With many particles the chain's draws are made ahead
 of the sweeps on the one worker of an executor that the run starts and
-joins, with the same bits, and BLAS threading is untouched (see ``sampler``).  Level L is scored on the particles that come back and
+joins, with the same bits, and BLAS threading is untouched (see
+``sampler``).  Level L is scored on the particles that come back and
 swept by nothing, as no weight reads its sweep.  After level 1,
 the increment is (c_k - c_{k-1}) sum min(eta, 0)^2 / 2 on leakiness paths.
 On the energy path level k - 1 sees r eta, r = s_{k-1} / s_k, so leaky units

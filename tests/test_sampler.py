@@ -693,7 +693,7 @@ class TestDrawsAhead:
             filled, state = len(slow.states), slow.g.bit_generator.state
             # the worker takes tasks in order, so it has passed every fill
             # that close left queued once it runs this one
-            assert pool.submit(lambda: 7).result() == 7
+            assert pool.submit(lambda: 7).result(timeout=60) == 7
             assert len(slow.states) == filled and slow.g.bit_generator.state == state
             assert 1 <= filled <= sampler._RING  # no chunk past the first was handed out
             # whole chunks, drawn in plan order
