@@ -214,9 +214,10 @@ def _cmd_train(args) -> int:
         projection_enabled=not args.no_projection,
         seed=args.seed,
     )
-    params0 = initial_params(dataset.matrix.shape[1], args.hidden, make_rng(args.seed, 1),
-                             args.leakiness, args.kind)
-    model, log = train(params0, dataset.matrix, tc)
+    # passed straight in, so that train holds the only reference to the start
+    model, log = train(initial_params(dataset.matrix.shape[1], args.hidden,
+                                      make_rng(args.seed, 1), args.leakiness, args.kind),
+                       dataset.matrix, tc)
     model_out = args.model_out or str(args.out / "model.rbm")
     Path(model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import DivergentIntegralError, TrainingDivergedError
 from .model import HiddenKind, RbmParams
 from .partition import (
     AnnealingPath,
@@ -160,9 +160,10 @@ def train_mixing_method(
 def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
     """Per-epoch oracle log-likelihood for the three negative-phase samplers.
 
-    Every arm trains.  An arm whose training diverges is dropped from the
-    CSV and named on stderr, and once the CSV holds the arms that finished,
-    the first divergence is raised.
+    Every arm trains.  An arm whose training diverges, or whose oracle
+    finds an infinite partition function, is dropped from the CSV and named
+    on stderr, and once the CSV holds the arms that finished, the first
+    such error is raised.
     """
     t0 = time.perf_counter()
     data = mixing_task_data(seed)
@@ -178,7 +179,7 @@ def experiment_mixing(out_dir, seed: int, epochs: int = 40) -> Path:
             _final, log = train_mixing_method(
                 seed, method, data, epochs=epochs, loglik_fn=oracle_loglik
             )
-        except TrainingDivergedError as exc:
+        except (TrainingDivergedError, DivergentIntegralError) as exc:
             dropped.append((method, exc))
             continue
         for rec in log.epochs:

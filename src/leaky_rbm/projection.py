@@ -148,13 +148,17 @@ def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
     T, exp, gram = _scaled_gram(W)  # T is corrected in place below
     if _certifies(gram, exp):
         return W, ProjectionReport(0, None, gram, exp)
-    # sigma > 1 exactly when the eigenvalue of the scaled Gram exceeds 4^-exp
-    lam, V = linalg.eigh(gram, subset_by_value=(np.ldexp(1.0, -2 * exp), np.inf))
+    n = gram.shape[0]
+    # sigma > 1 exactly when the eigenvalue of the scaled Gram exceeds 4^-exp.
+    # numpy forms T^T T by syrk, exactly symmetric, so gram.T is the same
+    # matrix, in the Fortran order that eigh overwrites instead of copying.
+    lam, V = linalg.eigh(gram.T, overwrite_a=True,
+                         subset_by_value=(np.ldexp(1.0, -2 * exp), np.inf))
+    del gram
     if len(lam) == 0:  # sigma_max lies in the certificate's margin below 1
-        return W, ProjectionReport(0, None, gram, exp)
+        return W, ProjectionReport(0, None, T.T @ T, exp)  # the Gram again, same bits
     sigma = np.ldexp(np.sqrt(lam), exp)
     smax = float(sigma[-1])
-    n = gram.shape[0]
     TV = T @ V
     if smax <= _FAR:
         T -= (TV * (1.0 - 1.0 / sigma)) @ V.T

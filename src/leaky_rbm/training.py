@@ -13,9 +13,14 @@ set after every update unless disabled.
 ``train`` validates its data once and then runs each minibatch on raw
 arrays, with one response pass: the batch's responses eta = v W + b feed
 both the positive statistics and CD's first Gibbs sweep.  Both dW
-products go into buffers allocated once per epoch, and the gradient,
-velocity and weights are updated in place, in the order of the textbook
-formulas, so the result is bit for bit that of the public phases below.
+products are new arrays each minibatch, which live only from its
+response pass to its update, and the gradient, velocity and weights are
+updated in place, in the order of the textbook formulas, so the result
+is bit for bit that of the public phases below.  The projection that
+follows holds W, its scaled copy and its Gram matrix, which the
+eigensolve may overwrite; ``train`` keeps no reference to its start, and
+builds each epoch's ``RbmParams`` copy after the epoch's reconstruction
+error, so no weight-sized array outlives the operation that reads it.
 W has a velocity buffer only with momentum, and the weight-decay product
 is formed only with weight decay.  Parameters are checked for finiteness
 once per minibatch, before the projection, and the reconstruction error
@@ -119,11 +124,14 @@ class TrainingLog:
 def _hidden_mean(eta: np.ndarray, c: float | None, out=None) -> np.ndarray:
     """E[h | v] from the responses eta = v W + b.
 
-    Leaky units of leakiness c, or Bernoulli units when c is None.  The
-    leaky mean is written into ``out`` when given, which may be eta.
+    Leaky units of leakiness c, or Bernoulli units when c is None.  With
+    ``out=eta`` the leaky mean scales eta's non-positive entries in place,
+    the entries where ``branch_slopes`` is c, so it allocates no slopes.
     """
     if c is None:
         return sigmoid(eta)
+    if out is eta:
+        return np.multiply(eta, c, out=eta, where=~(eta > 0))
     return np.multiply(branch_slopes(eta, c), eta, out=out)
 
 
@@ -221,15 +229,21 @@ def initial_params(n_visible: int, n_hidden: int, rng, leakiness: float = 1.0,
 def reconstruction_error(params: RbmParams, batch) -> float:
     """Mean squared error of the one-step conditional-mean reconstruction.
 
-    Logged for monitoring only; not a likelihood surrogate.  Summed over
-    blocks of 1024 rows, so its temporaries stay small on large data, and
-    each block reuses its two temporaries.
+    Logged for monitoring only; not a likelihood surrogate.
     """
     batch = _check_data(params, batch)
-    W, a, b = params.weights, params.visible_bias, params.hidden_bias
-    c = _unit_leakiness(params)
+    return _recon(params.weights, params.visible_bias, params.hidden_bias,
+                  _unit_leakiness(params), batch)
+
+
+def _recon(W, a, b, c, data) -> float:
+    """``reconstruction_error`` of the model (W, a, b, c) on checked data.
+
+    Summed over blocks of 1024 rows, so its temporaries stay small on large
+    data, and each block reuses its two temporaries.
+    """
     total = 0.0
-    for x in np.split(batch, range(1024, len(batch), 1024)):
+    for x in np.split(data, range(1024, len(data), 1024)):
         h = x @ W
         h += b
         h = _hidden_mean(h, c, out=h)
@@ -237,7 +251,7 @@ def reconstruction_error(params: RbmParams, batch) -> float:
         r += a
         np.subtract(x, r, out=r)
         total += np.sum(np.square(r, out=r))
-    return float(total / batch.size)
+    return float(total / data.size)
 
 
 def train(
@@ -261,9 +275,12 @@ def train(
     data = _check_data(params0, data)
     _check_sampler(params0, config)
     rng = _as_rng(config.seed)
-    params = params0
     W = np.array(params0.weights)  # the weights, updated in place
     a, b, c = params0.visible_bias, params0.hidden_bias, _unit_leakiness(params0)
+    leakiness, kind = params0.leakiness, params0.hidden_kind
+    # params0 is returned as it is when no epoch runs; each epoch drops it
+    params = params0
+    del params0
     # at momentum 0 the step is lr g itself, so W keeps no velocity
     vel_W = np.zeros_like(W) if config.momentum > 0 else None
     vel_b = np.zeros_like(b)
@@ -277,10 +294,9 @@ def train(
         submit = pool.submit if W.size > _CHUNK else _Now
         for epoch in range(config.epochs):
             # during the epoch W is the only copy of the weights, and the
-            # gradient buffers live until the reconstruction error, whose
-            # temporaries take their place: both lower the peak memory
+            # gradient buffers live from a minibatch's response pass to its
+            # update: both lower the peak memory
             del params
-            g_W, neg_dW = np.empty_like(W), np.empty_like(W)
             order = rng.permutation(n)
             draws = _Draws(plan, rng, pool)  # the epoch's chain draws, after its permutation
             with np.errstate(over="ignore", invalid="ignore"):
@@ -289,12 +305,14 @@ def train(
                         batch = data[order[start : start + config.batch_size]]
                         eta = batch @ W
                         eta += b
-                        pos = submit(_statistics, batch, _hidden_mean(eta, c), g_W)
+                        # dW's array comes from the main thread's malloc arena, as
+                        # does the clip's working set, which reuses it once it is freed
+                        pos = submit(_statistics, batch, _hidden_mean(eta, c), np.empty_like(W))
                         v = _chain_ends(W, a, b, c, batch, eta, config, draws)
                         eta = v @ W
                         eta += b
-                        neg_db = _statistics(v, _hidden_mean(eta, c, out=eta), out=neg_dW)[1]
-                        pos_db = pos.result()[1]
+                        neg_dW, neg_db = _statistics(v, _hidden_mean(eta, c, out=eta))
+                        g_W, pos_db = pos.result()
                         # in place, in this order: g = pos - neg - wd W; vel = m vel + lr g;
                         # W = W + vel.  A zero weight decay or momentum skips its
                         # product, which could change only the sign of an exact zero.
@@ -308,6 +326,7 @@ def train(
                         vel_b = config.momentum * vel_b + config.learning_rate * (pos_db - neg_db)
                         W += g_W if vel_W is None else vel_W
                         b = b + vel_b
+                        del g_W, neg_dW, pos  # the future's result still holds g_W
                         if not (np.isfinite(W).all() and np.isfinite(b).all()):
                             raise TrainingDivergedError(epoch, bi)
                         if config.projection_enabled:
@@ -317,14 +336,14 @@ def train(
                             if report.clipped_count and report.max_singular_value_before > _FAR:
                                 raise TrainingDivergedError(
                                     epoch, bi, report.max_singular_value_before)
+                            del report  # one that clipped nothing holds the Gram of W
                 finally:
                     draws.close()
-                del g_W, neg_dW
-                params = params0.with_(weights=W, hidden_bias=b)
                 # finite weights can still overflow the reconstruction
-                recon = reconstruction_error(params, data)
+                recon = _recon(W, a, b, c, data)
             if not np.isfinite(recon):
                 raise TrainingDivergedError(epoch)
+            params = RbmParams(W, a, b, leakiness, kind)
             record = EpochRecord(epoch=epoch, recon_error=recon)
             if loglik_fn is not None:
                 record.log_likelihood = float(loglik_fn(params))

@@ -15,7 +15,7 @@ from leaky_rbm.experiments import (
     synthetic_leaky_data,
     train_mixing_method,
 )
-from leaky_rbm.errors import TrainingDivergedError
+from leaky_rbm.errors import DivergentIntegralError, TrainingDivergedError
 from leaky_rbm.sampler import make_rng
 from leaky_rbm.training import NegSampler
 
@@ -112,6 +112,16 @@ class TestMixingDivergence:
             (method, str(epoch)) for method in ("cd", "mix") for epoch in range(4)]
         assert all(np.isfinite(float(r["loglik"])) for r in rows)
         assert f"(dropped leaky-anneal: {exc.value})" in capsys.readouterr().err
+
+    def test_an_arm_whose_oracle_diverges_is_dropped(self, tmp_path, capsys):
+        # at seed 21 the cd and mix arms end an epoch on a model whose Z is
+        # infinite, and the leaky-anneal arm blows up: no arm finishes, and
+        # the CSV is still written, header alone, before cd's error is raised
+        with pytest.raises(DivergentIntegralError, match="diverges along a ray"):
+            experiment_mixing(tmp_path, seed=21)
+        assert (tmp_path / "mixing.csv").read_text() == "epoch,method,loglik,stderr\n"
+        err = capsys.readouterr().err
+        assert all(f"(dropped {method}: " in err for method in ("cd", "leaky-anneal", "mix"))
 
 
 class TestDivergenceSchema:
