@@ -7,13 +7,18 @@ Cholesky factorization of a slightly shrunk (1 - delta) I - G certifies
 most matrices feasible as they are, with no eigensolve; the rest get one
 eigensolve, for only the eigenpairs above 1, which also corrects them.
 
-Only the certificate and the clip need scipy, and they import it when
-they run: sigma_max alone comes from numpy, so sampling and AIS load no
-scipy.
+Only the certificate and the clip need scipy, and they load its LAPACK
+extension alone, not the scipy.linalg package, when they first run:
+sigma_max alone comes from numpy, so sampling and AIS load no scipy.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -103,8 +108,6 @@ def _certifies(gram: np.ndarray, exp: int) -> bool:
     the error of computing it, so ``_top_singular_value`` would also have
     found sigma_max <= 1.  False proves nothing.
     """
-    from scipy import linalg
-
     n = gram.shape[0]
     # A Cholesky of A that runs to completion in floating point gives R with
     # R^T R = A + dA, |dA| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and
@@ -123,13 +126,48 @@ def _certifies(gram: np.ndarray, exp: int) -> bool:
         return True
     A = np.negative(gram)
     A.flat[:: n + 1] += shift
-    try:
-        # A.T is Fortran-ordered, so it is factored in place; its upper
-        # triangle is A's lower one, the triangle eigh reads
-        linalg.cholesky(A.T, lower=False, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError:
-        return False
-    return True
+    # A.T is Fortran-ordered, so it is factored in place; its upper triangle
+    # is A's lower one, the triangle the eigensolve reads
+    return _lapack().dpotrf(A.T, lower=0, overwrite_a=1)[1] == 0
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension, loaded once without running the
+    scipy.linalg package, which imports about 300 modules more.
+
+    It is registered under its own name, scipy.linalg._flapack, so a later
+    ``import scipy.linalg`` uses it and loads no second copy.
+    """
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where}")
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _eigh_above(a: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of symmetric ``a`` with eigenvalue above ``lo``,
+    ascending, from LAPACK's dsyevr on the lower triangle of ``a``.
+
+    This is the call ``scipy.linalg.eigh(a, overwrite_a=True,
+    subset_by_value=(lo, inf))`` makes, with the same bits: a Fortran-ordered
+    ``a`` is overwritten.  A nonzero LAPACK info raises LinAlgError.
+    """
+    lapack = _lapack()
+    lwork, liwork, _ = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    w, z, m, _, info = lapack.dsyevr(
+        a, compute_v=1, range="V", lower=1, vl=lo, vu=np.inf,
+        lwork=int(lwork), liwork=int(liwork), overwrite_a=1,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info {info}")
+    return w[:m], z[:, :m]
 
 
 def max_singular_value(W) -> float:
@@ -143,17 +181,14 @@ def max_singular_value(W) -> float:
 
 def _clip(W: np.ndarray) -> tuple[np.ndarray, ProjectionReport]:
     """``project_spectral`` of a finite float64 W, but W itself when it clips nothing."""
-    from scipy import linalg
-
     T, exp, gram = _scaled_gram(W)  # T is corrected in place below
     if _certifies(gram, exp):
         return W, ProjectionReport(0, None, gram, exp)
     n = gram.shape[0]
     # sigma > 1 exactly when the eigenvalue of the scaled Gram exceeds 4^-exp.
     # numpy forms T^T T by syrk, exactly symmetric, so gram.T is the same
-    # matrix, in the Fortran order that eigh overwrites instead of copying.
-    lam, V = linalg.eigh(gram.T, overwrite_a=True,
-                         subset_by_value=(np.ldexp(1.0, -2 * exp), np.inf))
+    # matrix, in the Fortran order that dsyevr overwrites instead of copying.
+    lam, V = _eigh_above(gram.T, np.ldexp(1.0, -2 * exp))
     del gram
     if len(lam) == 0:  # sigma_max lies in the certificate's margin below 1
         return W, ProjectionReport(0, None, T.T @ T, exp)  # the Gram again, same bits

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,15 @@ from conftest import random_safe_params
 def _write_data(path, rng, n=120, cols=3):
     m = rng.standard_normal((n, cols))
     np.savetxt(path, m, delimiter=",")
+    return path
+
+
+def _write_correlated_data(path):
+    """Three columns near one common factor: with --learning-rate 10 and
+    --hidden 2, one epoch of train has an update that clips."""
+    g = np.random.default_rng(0)
+    np.savetxt(path, g.standard_normal((120, 1)) + 0.1 * g.standard_normal((120, 3)),
+               delimiter=",")
     return path
 
 
@@ -198,6 +208,26 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr == "numerical failure: non-finite parameters at epoch 0, batch 1\n"
+        assert not (tmp_path / "model.rbm").exists()
+
+    def test_failed_clip_eigensolve_is_exit_2_and_writes_no_model(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a nonzero info from LAPACK's dsyevr, on a run whose one update clips
+        lapack = projection._lapack()
+
+        def failing(*args, **kwargs):
+            *out, _ = lapack.dsyevr(*args, **kwargs)
+            return (*out, 1)
+
+        fake = types.SimpleNamespace(
+            dpotrf=lapack.dpotrf, dsyevr_lwork=lapack.dsyevr_lwork, dsyevr=failing)
+        monkeypatch.setattr(projection, "_lapack", lambda: fake)
+        data = _write_correlated_data(tmp_path / "d.csv")
+        argv = ["--out", str(tmp_path), "train", "--data", str(data), "--hidden", "2",
+                "--epochs", "1", "--learning-rate", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "numerical failure: LAPACK dsyevr failed with info 1\n"
         assert not (tmp_path / "model.rbm").exists()
 
     def test_sample_where_the_subset_eigensolve_failed(self, tmp_path, capsys):
@@ -553,6 +583,40 @@ def test_import_loads_no_oracle_modules():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+_TRAIN_THEN_IMPORT = """
+import sys
+import numpy as np
+from leaky_rbm import projection
+from leaky_rbm.cli import main
+calls = []
+eigh_above = projection._eigh_above
+projection._eigh_above = lambda *args: calls.append(1) or eigh_above(*args)
+assert main(sys.argv[1:]) == 0 and len(calls) == 1
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+print("scipy.linalg" in sys.modules)
+from scipy import linalg
+gram = np.random.default_rng(0).standard_normal((30, 12))
+gram = gram.T @ gram
+lam, V = linalg.eigh(gram.T, subset_by_value=(25.0, np.inf))
+got_lam, got_V = eigh_above(gram.copy().T, 25.0)
+print(len(lam), got_lam.tobytes() == lam.tobytes(), got_V.tobytes() == V.tobytes())
+"""
+
+
+def test_train_loads_no_scipy_linalg_package(tmp_path):
+    # the certificate and the clip load scipy's LAPACK extension alone;
+    # scipy.linalg imports afterwards, and its eigh gives the same bits
+    data = _write_correlated_data(tmp_path / "d.csv")
+    argv = ["--out", str(tmp_path), "train", "--data", str(data), "--hidden", "2",
+            "--epochs", "1", "--learning-rate", "10"]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAIN_THEN_IMPORT, *argv], env=_src_env(),
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[-3:] == ["['scipy.linalg._flapack']", "False", "5 True True"]
+    assert (tmp_path / "model.rbm").exists()
 
 
 # Each command's argv, run from the directory that holds m.rbm and d.csv.

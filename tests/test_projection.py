@@ -1,3 +1,6 @@
+import functools
+import re
+import types
 import warnings
 
 import numpy as np
@@ -160,18 +163,33 @@ def _with_singular_values(shape, s, seed):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The eigensolves the projection module makes: scipy.linalg.eigh in the
-    clip, np.linalg.eigvalsh for sigma_max alone."""
-    from scipy import linalg
-
+    """The eigensolves the projection module makes: projection._eigh_above
+    in the clip, np.linalg.eigvalsh for sigma_max alone."""
     calls = []
-    for module, name in ((linalg, "eigh"), (np.linalg, "eigvalsh")):
+    for module, name in ((projection, "_eigh_above"), (np.linalg, "eigvalsh")):
         def counting(*args, _fn=getattr(module, name), **kwargs):
             calls.append(kwargs)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _boundary_matrix(shape, offset):
+    """A matrix whose sigma_max sits ``offset`` from 1, in units of the
+    certificate's margin delta or absolute."""
+    n = min(shape)
+    delta = (n + 1) ** 2 * np.finfo(np.float64).eps
+    target = {
+        "-10delta": 1.0 - 10.0 * delta, "-delta/2": 1.0 - delta / 2.0,
+        "0": 1.0, "+1e-13": 1.0 + 1e-13, "+0.5": 1.5,
+    }[offset]
+    return _with_singular_values(shape, np.linspace(target, 0.1, n), 10), delta
+
+
+_BOUNDARY_SHAPES = pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+_BOUNDARY_OFFSETS = pytest.mark.parametrize(
+    "offset", ["-10delta", "-delta/2", "0", "+1e-13", "+0.5"])
 
 
 class TestCertificate:
@@ -193,16 +211,10 @@ class TestCertificate:
         )
         assert len(eigh_calls) == 1
 
-    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
-    @pytest.mark.parametrize("offset", ["-10delta", "-delta/2", "0", "+1e-13", "+0.5"])
+    @_BOUNDARY_SHAPES
+    @_BOUNDARY_OFFSETS
     def test_boundary_family(self, eigh_calls, shape, offset):
-        n = min(shape)
-        delta = (n + 1) ** 2 * np.finfo(np.float64).eps
-        target = {
-            "-10delta": 1.0 - 10.0 * delta, "-delta/2": 1.0 - delta / 2.0,
-            "0": 1.0, "+1e-13": 1.0 + 1e-13, "+0.5": 1.5,
-        }[offset]
-        W = _with_singular_values(shape, np.linspace(target, 0.1, n), 10)
+        W, delta = _boundary_matrix(shape, offset)
         s = np.linalg.svd(W, compute_uv=False)
         W_proj, report = project_spectral(W)
         assert np.abs(W_proj - _svd_projection(W)).max() <= 1e-12
@@ -211,9 +223,26 @@ class TestCertificate:
             assert W_proj.tobytes() == W.tobytes()
             assert report.clipped_count == 0
         if s[0] > 1.0:
+            assert len(eigh_calls) == 1
             assert report.clipped_count == int(np.count_nonzero(s > 1.0))
         np.testing.assert_allclose(report.max_singular_value_before, s[0], rtol=1e-12)
         assert report.max_singular_value_after == min(report.max_singular_value_before, 1.0)
+
+    @_BOUNDARY_SHAPES
+    @_BOUNDARY_OFFSETS
+    def test_certificate_agrees_with_scipy_cholesky(self, shape, offset):
+        from scipy import linalg
+
+        W, delta = _boundary_matrix(shape, offset)
+        _, exp, gram = projection._scaled_gram(W)
+        A = np.ldexp(1.0 - delta, -2 * exp) * np.eye(gram.shape[0]) - gram
+        try:
+            linalg.cholesky(A.T, lower=False)
+        except linalg.LinAlgError:
+            want = False
+        else:
+            want = True
+        assert projection._certifies(gram, exp) is want
 
     @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
     def test_report_keeps_no_view_of_the_input(self, shape):
@@ -223,6 +252,80 @@ class TestCertificate:
         W *= 2.0
         np.testing.assert_allclose(report.max_singular_value_before, smax, rtol=1e-12)
         assert report.max_singular_value_after == report.max_singular_value_before
+
+
+def _failure_seed_weights(seed):
+    """The input and the output of the projection in
+    ``test_projected_models_where_the_subset_eigensolve_failed``."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((64, 16)) * rng.uniform(0.05, 1.0) * 2 / 8
+    return W, project_spectral(W)[0]
+
+
+class TestEigensolve:
+    """``_eigh_above`` gives the bits of the scipy.linalg.eigh call it replaces."""
+
+    @staticmethod
+    def _check(gram, lo):
+        from scipy import linalg
+
+        lam, V = linalg.eigh(gram.T, subset_by_value=(lo, np.inf))
+        got_lam, got_V = projection._eigh_above(gram.copy().T, lo)
+        assert (got_lam.shape, got_V.shape) == (lam.shape, V.shape)
+        assert got_lam.tobytes() == lam.tobytes()
+        assert got_V.tobytes() == V.tobytes()
+        return len(lam)
+
+    @pytest.mark.parametrize("seed", [188, 298, 394])
+    @pytest.mark.parametrize("which", [0, 1], ids=["input", "projected"])
+    def test_grams_of_the_subset_failure_seeds(self, seed, which):
+        _, exp, gram = projection._scaled_gram(_failure_seed_weights(seed)[which])
+        self._check(gram, np.ldexp(1.0, -2 * exp))
+
+    @pytest.mark.parametrize("lo, found", [(1.0, 1), (3.0, 0)])
+    def test_one_by_one(self, lo, found):
+        assert self._check(np.array([[2.5]]), lo) == found
+
+    @pytest.mark.parametrize("lo, found", [(5.0, 0), (0.05, 12)])
+    def test_none_or_every_eigenvalue_above(self, lo, found):
+        gram = _with_singular_values((30, 12), np.linspace(2.0, 0.3, 12), 12)
+        gram = gram.T @ gram
+        assert self._check(gram, lo) == found
+
+    def test_the_training_size(self):
+        W = make_rng(13).standard_normal((784, 500)) * 0.04  # sigma 0.2 .. 2
+        _, exp, gram = projection._scaled_gram(W)
+        assert 0 < self._check(gram, np.ldexp(1.0, -2 * exp)) < 500
+
+
+class TestLapackFailures:
+    def test_nonzero_dsyevr_info_raises_one_line(self, monkeypatch):
+        lapack = projection._lapack()
+
+        def failing(*args, **kwargs):
+            *out, _ = lapack.dsyevr(*args, **kwargs)
+            return (*out, 3)
+
+        fake = types.SimpleNamespace(
+            dpotrf=lapack.dpotrf, dsyevr_lwork=lapack.dsyevr_lwork, dsyevr=failing)
+        monkeypatch.setattr(projection, "_lapack", lambda: fake)
+        with pytest.raises(np.linalg.LinAlgError) as excinfo:
+            project_spectral(np.diag([1.5, 0.2]))
+        assert str(excinfo.value) == "LAPACK dsyevr failed with info 3"
+
+    def test_missing_extension_names_the_directory(self, monkeypatch, tmp_path):
+        import scipy
+
+        # a fresh cache, so the process keeps its loaded extension
+        monkeypatch.setattr(projection, "_lapack",
+                            functools.cache(projection._lapack.__wrapped__))
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        where = re.escape(str(tmp_path / "linalg"))
+        with pytest.raises(ImportError, match=f"_flapack is not in {where}$"):
+            projection._lapack()
+        # no fallback: the certificate needs the extension
+        with pytest.raises(ImportError, match=where):
+            project_spectral(np.diag([0.5, 0.2]))
 
 
 @pytest.mark.parametrize("fn", [project_spectral, max_singular_value, is_globally_safe])
@@ -281,8 +384,7 @@ def test_non_finite_weights_raise_without_a_warning(fn, value):
 def test_projected_models_where_the_subset_eigensolve_failed(seed):
     # on these projected 64 x 16 models LAPACK's dsyevr, behind scipy's
     # eigh(subset_by_index=...), raised LinAlgError("Internal Error.")
-    rng = np.random.default_rng(seed)
-    W = project_spectral(rng.standard_normal((64, 16)) * rng.uniform(0.05, 1.0) * 2 / 8)[0]
+    W = _failure_seed_weights(seed)[1]
     np.testing.assert_allclose(
         max_singular_value(W), np.linalg.svd(W, compute_uv=False)[0], rtol=1e-12
     )

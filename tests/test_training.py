@@ -18,7 +18,7 @@ from leaky_rbm import (
 from leaky_rbm.experiments import mixing_task_data, train_mixing_method
 from leaky_rbm.model import branch_slopes, log_unnorm_marginal, visible_conditional
 from leaky_rbm.partition import quadrature_log_z
-from leaky_rbm.projection import _FAR, is_globally_safe, project_spectral
+from leaky_rbm.projection import _FAR, _lapack, is_globally_safe, project_spectral
 from leaky_rbm.sampler import anneal_leakiness_sample, gibbs_step, make_rng, mix_sample
 from leaky_rbm.training import (
     EpochRecord,
@@ -442,8 +442,9 @@ class TestWorkingSet:
         # while the gradient buffers lived for the whole epoch, the start
         # and the last clip report stayed referenced and eigh copied the
         # Gram; it is 4.9 now.  The bound of 6.5 leaves 1.6 of margin
-        import concurrent.futures, scipy.linalg  # noqa: F401  loaded outside the trace
+        import concurrent.futures  # noqa: F401  loaded outside the trace
 
+        _lapack()  # so is scipy's LAPACK extension
         data = make_rng(0).standard_normal((1000, 784))
         tracemalloc.start()
         try:
