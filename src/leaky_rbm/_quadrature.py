@@ -1,7 +1,10 @@
 """The region-by-region quadrature behind ``partition.quadrature_log_z``.
 
-A module of its own because only this oracle needs scipy.integrate and
-scipy.special; ``quadrature_log_z`` imports it on first use, so importing
+A module of its own because only this oracle needs scipy's QUADPACK and
+its special functions ``erfcx`` and ``log_ndtr``.  It loads their two
+compiled extensions alone (``projection._scipy_extension``), not the
+scipy.integrate and scipy.special packages, which import hundreds of
+modules more.  ``quadrature_log_z`` imports it on first use, so importing
 the package (and every CLI command but the oracle checks) loads neither.
 """
 from __future__ import annotations
@@ -9,29 +12,62 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfcx, log_ndtr
 
 from .errors import DivergentIntegralError
 from .model import branch_slopes, region_precision
 from .partition import LOG_2PI
+from .projection import _scipy_extension
+
+_quadpack = _scipy_extension("scipy.integrate._quadpack", "QUADPACK")
+# the ufuncs that scipy.special exports under these names
+_ufuncs = _scipy_extension("scipy.special._special_ufuncs", "special-function")
+erfcx, log_ndtr = _ufuncs.erfcx, _ufuncs.log_ndtr
 
 _DIVERGES = "unnormalized marginal diverges along a ray (asymptotic precision {:.3e})"
+
+
+def _quad(f, lo, hi, epsrel) -> float:
+    """``scipy.integrate.quad(f, lo, hi, epsabs=0.0, epsrel=epsrel)[0]`` for
+    lo < hi, bit for bit, on QUADPACK's extension alone.
+
+    For these arguments scipy 1.17's ``quad`` calls qagse on a finite
+    interval and qagie, with the finite end and which ends are infinite,
+    otherwise; both with no args, no full output and 50 subintervals.  When
+    QUADPACK reports a problem (ier != 0) the call is made again through
+    ``quad`` itself, which returns the same value and warns or raises as
+    it always has.
+    """
+    if math.isinf(lo) and math.isinf(hi):
+        val, _err, ier = _quadpack._qagie(f, 0, 2, (), 0, 0.0, epsrel, 50)
+    elif math.isinf(hi):
+        val, _err, ier = _quadpack._qagie(f, lo, 1, (), 0, 0.0, epsrel, 50)
+    elif math.isinf(lo):
+        val, _err, ier = _quadpack._qagie(f, hi, -1, (), 0, 0.0, epsrel, 50)
+    else:
+        val, _err, ier = _quadpack._qagse(f, lo, hi, (), 0, 0.0, epsrel, 50)
+    if ier != 0:
+        from scipy import integrate
+
+        val = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=epsrel)[0]
+    return val
 
 
 def _log_gauss_piece(q, l, k, lo, hi, epsrel) -> float:
     """log of the integral of exp(-q t^2/2 + l t + k) over lo < t < hi."""
     if q <= 1e-12:
         if math.isinf(lo) or math.isinf(hi):
-            raise DivergentIntegralError(_DIVERGES.format(q))
+            # a flat quadratic term (q this small is a rounded 0): the piece
+            # is finite only on a half-line towards which l t + k falls
+            if math.isinf(lo):  # mirror onto the right
+                lo, hi, l = -hi, -lo, -l
+            if math.isinf(lo) or l >= 0.0:
+                raise DivergentIntegralError(_DIVERGES.format(q))
+            return k + l * lo - math.log(-l)
         # flat or convex, as only a bounded piece outside the feasible set
         # can be: the exponent peaks at an end
         g = lambda t: (l - 0.5 * q * t) * t + k
         top = max(g(lo), g(hi))
-        val, _err = integrate.quad(
-            lambda t: math.exp(g(t) - top), lo, hi, epsabs=0.0, epsrel=epsrel
-        )
-        return top + math.log(val)
+        return top + math.log(_quad(lambda t: math.exp(g(t) - top), lo, hi, epsrel))
     mu = l / q
     if hi <= mu:  # mirror a piece left of the mean onto the right
         lo, hi, l, mu = -hi, -lo, -l, -mu
@@ -130,6 +166,5 @@ def _plane_log_z(W: np.ndarray, b: np.ndarray, c: float, epsrel: float) -> float
     shift = max(map(log_column, edges or [0.0]))
     column = lambda x: math.exp(log_column(x) - shift)
     bounds = [-math.inf, *edges, math.inf]
-    parts = [integrate.quad(column, lo, hi, epsabs=0.0, epsrel=epsrel)[0]
-             for lo, hi in zip(bounds, bounds[1:])]
+    parts = [_quad(column, lo, hi, epsrel) for lo, hi in zip(bounds, bounds[1:])]
     return shift + math.log(sum(parts))

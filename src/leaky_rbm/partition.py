@@ -222,7 +222,7 @@ def quadrature_log_z(params: RbmParams, tolerance: float = 1e-9) -> float:
             raise DimensionError("quadrature oracle supports at most 2 visible or 2 hidden units")
         params, n_dropped_dims = _span_model(params)
     _require_kind(params, HiddenKind.LEAKY_RELU, "quadrature_log_z")
-    # a module of its own, as only this oracle needs scipy.integrate and .special
+    # a module of its own, as only this oracle needs scipy (QUADPACK, erfcx, log_ndtr)
     from ._quadrature import _line_log_integral, _plane_log_z
 
     epsrel = max(tolerance, 1e-12)

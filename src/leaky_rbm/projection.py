@@ -9,7 +9,9 @@ eigensolve, for only the eigenpairs above 1, which also corrects them.
 
 Only the certificate and the clip need scipy, and they load its LAPACK
 extension alone, not the scipy.linalg package, when they first run:
-sigma_max alone comes from numpy, so sampling and AIS load no scipy.
+sigma_max alone comes from numpy, so sampling and AIS load no scipy.  The
+one loader, ``_scipy_extension``, also gives the quadrature oracle its
+QUADPACK and special-function extensions.
 """
 from __future__ import annotations
 
@@ -133,22 +135,31 @@ def _certifies(gram: np.ndarray, exp: int) -> bool:
 
 @functools.cache
 def _lapack():
-    """scipy's f2py LAPACK extension, loaded once without running the
-    scipy.linalg package, which imports about 300 modules more.
+    """scipy's f2py LAPACK extension, loaded once (``_scipy_extension``)."""
+    return _scipy_extension("scipy.linalg._flapack", "LAPACK")
 
-    It is registered under its own name, scipy.linalg._flapack, so a later
-    ``import scipy.linalg`` uses it and loads no second copy.
+
+def _scipy_extension(name: str, what: str):
+    """The compiled scipy extension module ``name``, loaded without running
+    the package that holds it: scipy.linalg, scipy.integrate and
+    scipy.special each import hundreds of modules more.
+
+    It is registered under its own name, so a later import of the package
+    uses it and loads no second copy; one already loaded is returned as it
+    is.  ImportError names the directory searched when the file is missing.
     """
     import scipy
 
-    where = os.path.join(scipy.__path__[0], "linalg")
+    package, _, leaf = name.rpartition(".")
+    where = os.path.join(scipy.__path__[0], *package.split(".")[1:])
     finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.linalg._flapack")
+    spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where}")
-    module = sys.modules[spec.name] = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        raise ImportError(f"scipy's {what} extension {leaf} is not in {where}")
+    if name not in sys.modules:
+        module = sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def _eigh_above(a: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:

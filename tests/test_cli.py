@@ -571,9 +571,8 @@ def _src_env() -> dict:
 
 def test_import_loads_no_oracle_modules():
     # only training's projection and the quadrature oracle use scipy, and
-    # import it on first use, so importing the CLI loads no scipy module:
-    # not scipy.linalg, scipy.integrate (and the scipy.optimize it pulls
-    # in) or scipy.special
+    # load its LAPACK, QUADPACK and special-function extensions on first
+    # use, so importing the CLI loads no scipy module at all
     code = (
         "import sys, leaky_rbm.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -618,6 +617,42 @@ def test_train_loads_no_scipy_linalg_package(tmp_path):
     assert out[-3:] == ["['scipy.linalg._flapack']", "False", "5 True True"]
     assert (tmp_path / "model.rbm").exists()
 
+
+
+_QUADRATURE_THEN_IMPORT = """
+import math, sys
+import numpy as np
+from leaky_rbm import RbmParams, _quadrature, quadrature_log_z
+p = RbmParams.create([[0.5, -0.3], [0.2, 0.6]], visible_bias=[0.1, -0.2],
+                     hidden_bias=[0.4, -1.0], leakiness=0.1)
+log_z = quadrature_log_z(p)
+packages = ("scipy.integrate", "scipy.special", "scipy.linalg", "scipy.optimize")
+print(sorted(m for m in sys.modules if m.startswith(packages)))
+from scipy import integrate, special
+print(sys.modules["scipy.integrate._quadpack"] is _quadrature._quadpack,
+      integrate._quadpack_py._quadpack is _quadrature._quadpack,
+      sys.modules["scipy.special._special_ufuncs"] is _quadrature._ufuncs,
+      special.log_ndtr is _quadrature.log_ndtr, special.erfcx is _quadrature.erfcx)
+f = lambda t: math.exp(-0.5 * t * t + 0.3 * t)
+ends = [(-math.inf, math.inf), (-math.inf, 0.5), (0.5, math.inf), (-1.0, 2.0)]
+print(all(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-9)[0]
+          == _quadrature._quad(f, lo, hi, 1e-9) for lo, hi in ends),
+      special.log_ndtr(np.linspace(-40.0, 40.0, 801)).tobytes()
+      == _quadrature.log_ndtr(np.linspace(-40.0, 40.0, 801)).tobytes(),
+      quadrature_log_z(p) == log_z)
+"""
+
+
+def test_quadrature_loads_only_two_scipy_extensions():
+    # the oracle loads QUADPACK's and the special functions' extensions
+    # alone; scipy.integrate and scipy.special import afterwards reuse them,
+    # and their quad and log_ndtr give the same bits
+    out = subprocess.run(
+        [sys.executable, "-c", _QUADRATURE_THEN_IMPORT], env=_src_env(),
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out == ["['scipy.integrate._quadpack', 'scipy.special._special_ufuncs']",
+                   "True True True True True", "True True True"]
 
 # Each command's argv, run from the directory that holds m.rbm and d.csv.
 _NUMPY_ONLY_COMMANDS = {
