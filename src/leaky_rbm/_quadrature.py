@@ -56,11 +56,14 @@ def _log_gauss_piece(q, l, k, lo, hi, epsrel) -> float:
     """log of the integral of exp(-q t^2/2 + l t + k) over lo < t < hi."""
     if q <= 1e-12:
         if math.isinf(lo) or math.isinf(hi):
-            # a flat quadratic term (q this small is a rounded 0): the piece
-            # is finite only on a half-line towards which l t + k falls
+            # a flat quadratic term (|q| this small is a rounded 0): the piece
+            # is finite only on a half-line towards which l t + k falls, and
+            # e^{k + l lo} / (-l) holds it to epsrel only while q t^2 / 2 stays
+            # below epsrel where its mass lies, within a few 1/|l| of lo
             if math.isinf(lo):  # mirror onto the right
                 lo, hi, l = -hi, -lo, -l
-            if math.isinf(lo) or l >= 0.0:
+            if (math.isinf(lo) or l >= 0.0 or q < -1e-12
+                    or abs(q) * (abs(lo) + 2.0 / -l) ** 2 > 2.0 * epsrel):
                 raise DivergentIntegralError(_DIVERGES.format(q))
             return k + l * lo - math.log(-l)
         # flat or convex, as only a bounded piece outside the feasible set

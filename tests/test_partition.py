@@ -148,6 +148,28 @@ class TestQuadrature:
         with pytest.raises(DivergentIntegralError):  # b eta grows past eta = 0
             quadrature_log_z(p.with_(hidden_bias=[-b]))
 
+    # past eta = 0 a norm above 1 makes the quadratic term grow (q = 1 - 2.25),
+    # and no decaying linear term b eta saves the integral
+    @pytest.mark.parametrize("W, a", [
+        ([[1.5]], [0.0]),
+        ([[0.9], [1.2], [0.0]], [0.0, 0.0, 0.0]),
+        ([[0.0], [-1.2], [0.9]], [0.5, 0.25, -0.5]),
+    ], ids=["1x1", "3x1", "3x1-biased"])
+    def test_growing_piece_raises_whatever_its_linear_term(self, W, a):
+        p = RbmParams.create(W, visible_bias=a, hidden_bias=[-1.0], leakiness=0.01)
+        with pytest.raises(DivergentIntegralError):
+            quadrature_log_z(p)
+
+    def test_flat_piece_whose_quadratic_term_matters_is_refused(self):
+        # q = 1 - w^2 is about 1e-13, below the rounded-zero cut, but with
+        # l = -1e-7 the tail's mass lies out to t ~ 1e8, where q t^2 / 2 is
+        # in the hundreds: e^{k + l lo} / (-l) would be far off, so the
+        # oracle refuses the model rather than return it
+        p = RbmParams.create([[math.sqrt(1.0 - 1e-13)]], hidden_bias=[-1e-7],
+                             leakiness=0.01)
+        with pytest.raises(DivergentIntegralError):
+            quadrature_log_z(p)
+
     @pytest.mark.parametrize("W, b", [
         ([[-0.0026230582707979407, -0.061278519983755636],
           [-0.18480291766847093, -0.9808988392441866]],
